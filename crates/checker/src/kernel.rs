@@ -53,7 +53,7 @@ use evlin_spec::{Invocation, Value};
 // ---------------------------------------------------------------------------
 
 /// One operation of a search problem, together with its constraints.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConstrainedOp {
     /// The underlying operation (object, invocation, original indices).
     pub record: OperationRecord,
@@ -68,7 +68,7 @@ pub struct ConstrainedOp {
 }
 
 /// A constrained-linearization problem.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchProblem {
     /// The operations, with their constraints.
     pub ops: Vec<ConstrainedOp>,

@@ -6,7 +6,10 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The payload of an event: either an operation invocation or a response.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Ordered structurally: every invocation before every response, then by
+/// the invocation or the value.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum EventKind {
     /// An operation invocation.
     Invoke(Invocation),
@@ -28,7 +31,9 @@ impl EventKind {
 
 /// A single event `⟨p, o, x⟩` of a history: process `p` either invokes an
 /// operation on object `o` or receives a response from it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Ordered structurally by process, then object, then [`EventKind`].
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Event {
     /// The process performing the event.
     pub process: ProcessId,

@@ -13,7 +13,11 @@ use std::fmt;
 /// histories together with statements quantified over all their prefixes; the
 /// structural helpers here ([`History::prefix`], [`History::events`], the
 /// projections) are what the checkers in `evlin-checker` build on.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+///
+/// Histories are ordered lexicographically by their event sequences (each
+/// event by [`Event`]'s structural order): a total order that needs no
+/// string encoding, used to sort explored histories deterministically.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
 pub struct History {
     events: Vec<Event>,
 }

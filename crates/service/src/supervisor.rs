@@ -808,11 +808,16 @@ impl RecoverableService {
         let acceptor = std::thread::Builder::new()
             .name("evlin-rsvc-accept".into())
             .spawn(move || {
-                let mut joins = Vec::new();
+                let mut joins: Vec<JoinHandle<()>> = Vec::new();
                 loop {
                     let Ok((stream, _)) = listener.accept() else {
                         break;
                     };
+                    // Reap exited handlers, so each one's stack is released
+                    // now instead of at `finish`.
+                    for done in joins.extract_if(.., |join| join.is_finished()) {
+                        let _ = done.join();
+                    }
                     if acceptor_shared.shutting_down.load(Ordering::SeqCst) {
                         break;
                     }
@@ -843,7 +848,9 @@ impl RecoverableService {
                     .min(Duration::from_millis(50))
                     .max(Duration::from_millis(2));
                 while !watchdog_shared.shutting_down.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick);
+                    // `finish` unparks the watchdog, so shutdown never waits
+                    // out a tick.
+                    std::thread::park_timeout(tick);
                     if watchdog_shared.shutting_down.load(Ordering::SeqCst) {
                         break;
                     }
@@ -901,6 +908,7 @@ impl RecoverableService {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         // Wake the acceptor out of `accept`.
         let _ = TcpStream::connect(self.addr);
+        self.watchdog.thread().unpark();
         for join in self.acceptor.join().expect("acceptor thread") {
             let _ = join.join();
         }

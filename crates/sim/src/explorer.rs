@@ -52,8 +52,8 @@ where
 }
 
 /// Convenience wrapper: explores all executions and collects the histories of
-/// every *terminal* configuration (quiescent or depth-bounded), sorted
-/// deterministically by their debug encoding.
+/// every *terminal* configuration (quiescent or depth-bounded), sorted by
+/// [`evlin_history::History`]'s structural order.
 pub fn terminal_histories(
     implementation: &dyn Implementation,
     workload: &Workload,
@@ -201,9 +201,9 @@ where
 
 /// Parallel counterpart of [`terminal_histories`]: collects the history of
 /// every terminal configuration using the engine's parallel path.  The
-/// histories are returned in a deterministic order (sorted by their debug
-/// encoding), since parallel workers reach terminals in a nondeterministic
-/// sequence.
+/// histories are returned in a deterministic order (sorted by
+/// [`evlin_history::History`]'s structural order), since parallel workers
+/// reach terminals in a nondeterministic sequence.
 pub fn terminal_histories_par(
     implementation: &dyn Implementation,
     workload: &Workload,
@@ -385,8 +385,14 @@ mod tests {
         let imp = LocalSpecImplementation::new(Arc::new(TestAndSet::new()), 2);
         let w = Workload::uniform(2, TestAndSet::test_and_set(), 1);
         let sequential = terminal_histories(&imp, &w, ExploreOptions::default());
-        let parallel = terminal_histories_par(&imp, &w, par_options(4, false));
-        assert_eq!(sequential, parallel);
+        assert!(
+            sequential.is_sorted(),
+            "terminal histories must come out in History's structural order"
+        );
+        for threads in [1, 2, 4] {
+            let parallel = terminal_histories_par(&imp, &w, par_options(threads, false));
+            assert_eq!(sequential, parallel, "order diverged at {threads} threads");
+        }
     }
 
     #[test]
