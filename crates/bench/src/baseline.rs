@@ -1,8 +1,8 @@
 //! Committed bench baselines and the perf-regression gate.
 //!
 //! The CI `bench-gate` job runs the timing-sensitive benches
-//! (`checker_scaling`, `monitor_throughput`), captures their output and
-//! compares the measured means against the baselines committed in
+//! ([`GATED_BENCHES`], printed by `bench_gate --list`), captures their
+//! output and compares the measured means against the baselines committed in
 //! `BENCH_checker.json` (its top-level `"gate"` object), failing the build on
 //! a regression beyond the tolerance.  The comparison logic lives here so it
 //! can be unit-tested; the `bench_gate` binary is a thin driver.
@@ -210,6 +210,18 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 // ---------------------------------------------------------------------------
 // Bench-output parsing and the gate comparison
 // ---------------------------------------------------------------------------
+
+/// The bench targets whose output the gate needs: together they produce
+/// every entry of the baseline file's `"gate"` object.  CI and the README's
+/// gate recipe iterate over this list (`bench_gate --list` prints it, one
+/// target per line) instead of spelling the names out themselves.
+pub const GATED_BENCHES: [&str; 5] = [
+    "checker_scaling",
+    "monitor_throughput",
+    "exploration_scaling",
+    "service_saturation",
+    "service_recovery",
+];
 
 /// One measured benchmark: its line name and mean time in microseconds.
 #[derive(Debug, Clone, PartialEq)]
@@ -427,6 +439,18 @@ mod tests {
             .find(|b| b.name == "explore/faults/k0/3")
             .expect("fault k0 gate entry");
         assert_eq!(k0.tolerance, Some(0.05));
+    }
+
+    #[test]
+    fn gated_benches_are_bench_targets_of_this_package() {
+        let manifest = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml"))
+            .expect("package manifest exists");
+        for bench in GATED_BENCHES {
+            assert!(
+                manifest.contains(&format!("name = \"{bench}\"")),
+                "gated bench `{bench}` is not a [[bench]] target"
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,14 @@
 //! ```text
 //! bench_gate [--baseline BENCH_checker.json] [--tolerance 0.30]
 //!            [--report bench_gate_report.json] BENCH_OUTPUT.txt...
+//! bench_gate --list
+//! ```
+//!
+//! `--list` prints the gated bench targets, one per line, so a caller can
+//! run exactly the benches whose output the gate needs:
+//!
+//! ```text
+//! for b in $(bench_gate --list); do cargo bench -p evlin-bench --bench "$b"; done
 //! ```
 //!
 //! Reads one or more captured bench outputs (the offline criterion shim's
@@ -152,6 +160,12 @@ fn run() -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
+    if std::env::args().skip(1).any(|arg| arg == "--list") {
+        for bench in baseline::GATED_BENCHES {
+            println!("{bench}");
+        }
+        return ExitCode::SUCCESS;
+    }
     match run() {
         Ok(false) => ExitCode::SUCCESS,
         Ok(true) => ExitCode::from(1),
@@ -159,7 +173,7 @@ fn main() -> ExitCode {
             eprintln!("bench_gate: {message}");
             eprintln!(
                 "usage: bench_gate [--baseline BENCH_checker.json] [--tolerance 0.30] \
-                 [--report OUT.json] BENCH_OUTPUT.txt..."
+                 [--report OUT.json] BENCH_OUTPUT.txt...\n       bench_gate --list"
             );
             ExitCode::from(2)
         }

@@ -68,8 +68,18 @@
 //! linearizability the per-object *frontiers* are independent (witness
 //! composition never couples the states of distinct objects), so the monitor
 //! keeps one frontier set per object and checks the per-object projections of
-//! each segment independently — fanned out across objects via
-//! [`crate::parallel`].  Segments of pure fetch&increment traffic take the
+//! each segment independently.  A batch is grouped by object in one pass:
+//! single-object segments come straight from the object lists tracked at
+//! ingest, and a multi-object segment's events are sorted by object once, so
+//! no segment is rescanned per object.  Each object's chain then visits only
+//! its own segments, sequentially on the check stage's thread with one
+//! pooled kernel scratch.  Parallelism across objects comes one level
+//! up: [`ShardRouter`] splits a local condition's stream by object into
+//! shards, each with its own check stage, so a per-batch fan-out inside a
+//! shard would only add thread spawns.  Weak consistency and stabilization
+//! are not object-local, so the router gives them a single shard; their
+//! independent per-operation and per-object searches are still fanned out
+//! via [`crate::parallel`].  Segments of pure fetch&increment traffic take the
 //! near-linear [`crate::fi`] fast path instead of the kernel, which is what
 //! lets the monitor keep up with millions of real-thread counter operations
 //! (experiment E11, the `monitor_throughput` bench).  Segments that touch a
@@ -807,14 +817,26 @@ pub struct MonitorCheck {
     /// ingest stage and are merged in at [`MonitorCheck::finish`] (or by
     /// [`Monitor::stats`]); everything else is authored here.
     stats: MonitorStats,
-    /// One pooled kernel scratch per object for the linearizability mode's
-    /// per-object chains, threaded through the parallel fan-out and back so
-    /// the visited caches and arenas are reused across segment *batches* —
-    /// the per-segment memory high-water mark stays flat as the stream grows
-    /// (asserted by the `arena_reuse_keeps_peak_bytes_flat` test).
-    lin_scratch: BTreeMap<ObjectId, KernelScratch>,
-    /// Pooled scratch for the sequential (t-linearizability) chains.
+    /// One pooled kernel scratch for every search of this stage.  The
+    /// linearizability mode's per-object chains and the t-linearizability
+    /// chains all run one after another on the check stage's own thread, so
+    /// they borrow it in turn: the visited caches and arenas are reused
+    /// across segments and segment *batches*, and the per-segment memory
+    /// high-water mark stays flat as the stream grows (asserted by the
+    /// `arena_reuse_keeps_peak_bytes_flat` test).
     scratch: KernelScratch,
+    /// The linearizability drain's per-object runs of the batch being
+    /// drained, kept between batches so collecting them allocates nothing
+    /// once warm.
+    lin_runs: Vec<ObjectRun>,
+    /// Event indices of the batch's multi-object segments, grouped by
+    /// object within each segment (see [`ObjectRun::events`]).
+    lin_events: Vec<usize>,
+    /// Outgoing per-object frontiers of the batch being drained, committed
+    /// only once no object has violated.
+    lin_outgoing: Vec<(ObjectId, Vec<Value>)>,
+    /// Frontier vectors recycled from earlier batches.
+    lin_spare: Vec<Vec<Value>>,
 }
 
 impl fmt::Debug for MonitorCheck {
@@ -856,8 +878,11 @@ impl MonitorCheck {
             violation: None,
             incomplete: false,
             stats: MonitorStats::default(),
-            lin_scratch: BTreeMap::new(),
             scratch: KernelScratch::new(),
+            lin_runs: Vec::new(),
+            lin_events: Vec::new(),
+            lin_outgoing: Vec::new(),
+            lin_spare: Vec::new(),
         }
     }
 
@@ -939,75 +964,70 @@ impl MonitorCheck {
     // -- linearizability ---------------------------------------------------
 
     /// Checks a batch of segments under linearizability: per-object frontier
-    /// threading, fanned out across objects, with the fetch&increment fast
-    /// path per projection.
+    /// threading with the fetch&increment fast path per projection, one
+    /// object after another on this stage's own thread (parallelism across
+    /// objects comes from [`ShardRouter`] shards; see the module docs).
     fn drain_lin(&mut self, segments: &[Segment], is_final: bool) {
-        let ModeState::Lin { frontiers } = &self.mode else {
-            unreachable!("drain_lin requires Lin mode");
-        };
-        // The union of per-segment object lists (tracked at ingest), sorted
-        // for a deterministic fan-out order.
-        let mut objects: Vec<ObjectId> = Vec::new();
-        for segment in segments {
-            for &object in &segment.objects {
-                if !objects.contains(&object) {
-                    objects.push(object);
-                }
+        // Every (object, segment) incidence, in one pass over the batch: a
+        // single-object segment's object is tracked at ingest, and a
+        // multi-object segment's events are sorted by object once, so each
+        // object reads its projection off its own run.  Sorting the runs
+        // then makes each object's segments one ascending group.
+        let mut runs = std::mem::take(&mut self.lin_runs);
+        let mut events = std::mem::take(&mut self.lin_events);
+        runs.clear();
+        events.clear();
+        for (index, segment) in segments.iter().enumerate() {
+            if let [object] = segment.objects[..] {
+                runs.push(ObjectRun {
+                    object,
+                    segment: index,
+                    events: 0..0,
+                });
+                continue;
+            }
+            let history = segment.history.events();
+            let start = events.len();
+            events.extend(0..history.len());
+            events[start..].sort_unstable_by_key(|&i| (history[i].object, i));
+            let mut at = start;
+            for group in events[start..].chunk_by(|&a, &b| history[a].object == history[b].object) {
+                runs.push(ObjectRun {
+                    object: history[group[0]].object,
+                    segment: index,
+                    events: at..at + group.len(),
+                });
+                at += group.len();
             }
         }
-        objects.sort_unstable();
-        let universe = &self.universe;
-        let limits = self.limits;
-        let max_frontiers = self.max_frontiers;
-        // Move each object's pooled scratch into its parallel chain and take
-        // it back with the outcome: segment batches reuse one arena per
-        // object instead of churning the allocator per batch.
-        let work: Vec<(ObjectId, KernelScratch)> = objects
-            .iter()
-            .map(|&object| (object, self.lin_scratch.remove(&object).unwrap_or_default()))
-            .collect();
-        let outcomes = parallel::map_par_into(work, |(object, scratch)| {
-            let incoming = frontiers
-                .get(&object)
-                .cloned()
-                .unwrap_or_else(|| vec![universe.initial_state(object).clone()]);
-            chase_object_chain(
-                universe,
-                limits,
-                max_frontiers,
-                object,
-                incoming,
-                segments,
-                is_final,
-                scratch,
-            )
-        });
-        let mut outcomes_only = Vec::with_capacity(outcomes.len());
-        for (object, (outcome, scratch)) in objects.iter().zip(outcomes) {
-            self.lin_scratch.insert(*object, scratch);
-            outcomes_only.push(outcome);
-        }
-        // Merge: earliest violating segment wins (deterministically).
+        runs.sort_unstable_by_key(|run| (run.object, run.segment));
+        // Merge as the objects go by: the earliest violating segment wins,
+        // ties going to the lowest object id.
         let mut best: Option<(usize, ObjectId, String)> = None;
-        let mut new_frontiers: Vec<(ObjectId, Vec<Value>)> = Vec::new();
-        for (object, outcome) in objects.iter().zip(outcomes_only) {
-            self.stats.search.absorb(outcome.stats);
-            self.stats.fast_path_segments += outcome.fast_segments;
-            if outcome.incomplete {
-                self.incomplete = true;
+        for group in runs.chunk_by(|a, b| a.object == b.object) {
+            let object = group[0].object;
+            let mut frontier = self.spare_frontier();
+            let ModeState::Lin { frontiers } = &self.mode else {
+                unreachable!("drain_lin requires Lin mode");
+            };
+            match frontiers.get(&object) {
+                Some(states) => frontier.extend_from_slice(states),
+                None => frontier.push(self.universe.initial_state(object).clone()),
             }
-            if let Some((segment_index, detail)) = outcome.violation {
-                let replace = match &best {
-                    Some((s, _, _)) => segment_index < *s,
-                    None => true,
-                };
-                if replace {
-                    best = Some((segment_index, *object, detail));
+            let (frontier, violation) =
+                self.chase_object_chain(object, frontier, group, &events, segments, is_final);
+            if let Some((segment_index, detail)) = violation {
+                if best.as_ref().is_none_or(|(s, _, _)| segment_index < *s) {
+                    best = Some((segment_index, object, detail));
                 }
             }
-            new_frontiers.push((*object, outcome.frontier));
+            self.lin_outgoing.push((object, frontier));
         }
+        self.lin_runs = runs;
+        self.lin_events = events;
         if let Some((segment_index, object, detail)) = best {
+            self.lin_spare
+                .extend(self.lin_outgoing.drain(..).map(|(_, frontier)| frontier));
             if self.incomplete {
                 // The refutation may have relied on a truncated frontier.
                 return;
@@ -1029,12 +1049,163 @@ impl MonitorCheck {
         let ModeState::Lin { frontiers } = &mut self.mode else {
             unreachable!();
         };
-        for (object, frontier) in new_frontiers {
-            frontiers.insert(object, frontier);
+        for (object, frontier) in self.lin_outgoing.drain(..) {
+            if let Some(old) = frontiers.insert(object, frontier) {
+                self.lin_spare.push(old);
+            }
         }
         for segment in segments {
             self.stats.checked_ops += segment.completed;
         }
+    }
+
+    /// An empty frontier vector, recycled when one is to hand.
+    fn spare_frontier(&mut self) -> Vec<Value> {
+        let mut frontier = self.lin_spare.pop().unwrap_or_default();
+        frontier.clear();
+        frontier
+    }
+
+    /// Threads one object's frontier set through its runs in `group`
+    /// (ascending by segment; multi-object runs index into `events`),
+    /// searching with the pooled scratch.  Returns the outgoing frontier
+    /// and, if the object violates, the index of its first violating
+    /// segment with a description.
+    fn chase_object_chain(
+        &mut self,
+        object: ObjectId,
+        mut frontier: Vec<Value>,
+        group: &[ObjectRun],
+        events: &[usize],
+        segments: &[Segment],
+        is_final: bool,
+    ) -> (Vec<Value>, Option<(usize, String)>) {
+        let mut next = self.spare_frontier();
+        let fast_eligible = self.universe.object_type(object).name() == "fetch&increment";
+        let mut violation = None;
+        for run in group {
+            let segment_index = run.segment;
+            let segment = &segments[segment_index];
+            let final_segment = is_final && segment_index + 1 == segments.len();
+            // Single-object segments (the common case on the counter
+            // workloads, tracked at ingest) are checked by borrowing the
+            // segment history — no projection clone, and the
+            // completed-operation count comes straight from the ingest-side
+            // tally.
+            let owned_projection;
+            let projection: &History;
+            let completed: usize;
+            if segment.objects.len() == 1 {
+                projection = &segment.history;
+                completed = segment.completed;
+            } else {
+                let history = segment.history.events();
+                owned_projection = History::from_events(
+                    events[run.events.clone()]
+                        .iter()
+                        .map(|&i| history[i].clone())
+                        .collect(),
+                );
+                completed = owned_projection
+                    .events()
+                    .iter()
+                    .filter(|e| matches!(e.kind, EventKind::Respond(_)))
+                    .count();
+                projection = &owned_projection;
+            }
+            let pending = projection.len() - 2 * completed;
+            // Fast path: a pure fetch&increment projection from an integer
+            // state has a unique outgoing state (initial + operation count),
+            // so the near-linear specialized checker replaces the kernel
+            // search.
+            if fast_eligible
+                && frontier.iter().all(|s| s.as_int().is_some())
+                && fi_step(
+                    projection,
+                    completed,
+                    pending,
+                    &frontier,
+                    final_segment,
+                    &mut next,
+                )
+            {
+                self.stats.fast_path_segments += 1;
+                if next.is_empty() {
+                    violation = Some((
+                        segment_index,
+                        format!(
+                            "{object}: fetch&increment projection is not linearizable \
+                             from any frontier state"
+                        ),
+                    ));
+                    break;
+                }
+                std::mem::swap(&mut frontier, &mut next);
+                continue;
+            }
+            let condition = TLinearizability::new(0);
+            let problem = condition.problem(projection);
+            let mut outgoing: BTreeSet<Value> = BTreeSet::new();
+            let mut any_yes = false;
+            for state in &frontier {
+                let mut uni = self.universe.clone();
+                uni.set_initial_state(object, state.clone());
+                if final_segment {
+                    // Nothing consumes the outgoing frontier: a plain witness
+                    // search decides the tail (pending operations included).
+                    let (result, stats) =
+                        kernel::solve_with_scratch(&problem, &uni, self.limits, &mut self.scratch);
+                    self.stats.search.absorb(stats);
+                    match result {
+                        SearchResult::Yes(_) => {
+                            any_yes = true;
+                            break;
+                        }
+                        SearchResult::Unknown => self.incomplete = true,
+                        SearchResult::No => {}
+                    }
+                } else {
+                    let (set, stats) = kernel::solve_frontiers(
+                        &problem,
+                        &uni,
+                        self.limits,
+                        &[],
+                        &mut self.scratch,
+                    );
+                    self.stats.search.absorb(stats);
+                    if !set.complete {
+                        self.incomplete = true;
+                    }
+                    for entry in set.entries {
+                        any_yes = true;
+                        for (o, v) in entry.states {
+                            if o == object {
+                                outgoing.insert(v);
+                            }
+                        }
+                    }
+                }
+            }
+            if !any_yes {
+                violation = Some((
+                    segment_index,
+                    format!("{object}: segment has no linearization from any frontier state"),
+                ));
+                break;
+            }
+            if final_segment {
+                break;
+            }
+            if outgoing.len() > self.max_frontiers {
+                self.incomplete = true;
+                break;
+            }
+            next.clear();
+            next.extend(outgoing);
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        self.lin_spare.push(next);
+        (frontier, violation)
     }
 
     // -- t-linearizability -------------------------------------------------
@@ -1207,7 +1378,10 @@ impl MonitorCheck {
 
     /// Checks a batch of segments under weak consistency: replay the events
     /// against the invocation counters, emit one search problem per
-    /// completed operation, and solve them all in parallel.
+    /// completed operation, and solve them all in parallel.  Unlike the
+    /// linearizability drain this keeps a [`crate::parallel`] fan-out: weak
+    /// consistency is not object-local, so [`ShardRouter`] gives it a single
+    /// shard and this is its only source of parallelism.
     fn drain_weak(&mut self, segments: &[Segment]) {
         let ModeState::Weak {
             invoked,
@@ -1326,7 +1500,9 @@ impl MonitorCheck {
     /// real-time order forgiven, is there a legal arrangement of all
     /// completed operations (plus any subset of the pending ones)?  There
     /// are no cross-object constraints, so the objects are decided
-    /// independently, in parallel.
+    /// independently, in parallel (the condition is not declared
+    /// object-local, so [`ShardRouter`] gives it one shard and this fan-out
+    /// is its only parallelism).
     fn finish_stab(&mut self, pending: &[(ObjectId, Invocation)]) {
         let ModeState::Stab { completed } = &self.mode else {
             unreachable!("finish_stab requires Stab mode");
@@ -1535,189 +1711,63 @@ impl Monitor {
 }
 
 // ---------------------------------------------------------------------------
-// Per-object linearizability chain (free function so map_par can use it)
+// Per-object linearizability chains: runs and the fetch&increment fast path
 // ---------------------------------------------------------------------------
 
-struct ObjectOutcome {
-    frontier: Vec<Value>,
-    /// `(index into the segment batch, detail)`.
-    violation: Option<(usize, String)>,
-    incomplete: bool,
-    stats: SearchStats,
-    fast_segments: usize,
-}
-
-/// Threads one object's frontier set through its projections of a segment
-/// batch, reusing (and returning) the caller's pooled scratch.
-#[allow(clippy::too_many_arguments)] // private helper of drain_lin
-fn chase_object_chain(
-    universe: &ObjectUniverse,
-    limits: SearchLimits,
-    max_frontiers: usize,
+/// One object's share of one segment in a linearizability batch.
+struct ObjectRun {
     object: ObjectId,
-    mut frontier: Vec<Value>,
-    segments: &[Segment],
-    is_final: bool,
-    mut scratch: KernelScratch,
-) -> (ObjectOutcome, KernelScratch) {
-    let mut outcome = ObjectOutcome {
-        frontier: Vec::new(),
-        violation: None,
-        incomplete: false,
-        stats: SearchStats::default(),
-        fast_segments: 0,
-    };
-    let fast_eligible = universe.object_type(object).name() == "fetch&increment";
-    for (segment_index, segment) in segments.iter().enumerate() {
-        let final_segment = is_final && segment_index + 1 == segments.len();
-        if !segment.objects.contains(&object) {
-            continue;
-        }
-        // Single-object segments (the common case on the counter workloads,
-        // tracked at ingest) are checked by borrowing the segment history —
-        // no projection clone, and the completed-operation count comes
-        // straight from the ingest-side tally.
-        let owned_projection;
-        let projection: &History;
-        let completed: usize;
-        if segment.objects.len() == 1 {
-            projection = &segment.history;
-            completed = segment.completed;
-        } else {
-            owned_projection = segment.history.project_object(object);
-            completed = owned_projection
-                .events()
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::Respond(_)))
-                .count();
-            projection = &owned_projection;
-        }
-        if projection.is_empty() {
-            continue;
-        }
-        let pending = projection.len() - 2 * completed;
-        // Fast path: a pure fetch&increment projection from an integer state
-        // has a unique outgoing state (initial + operation count), so the
-        // near-linear specialized checker replaces the kernel search.
-        if fast_eligible && frontier.iter().all(|s| s.as_int().is_some()) {
-            match fi_step(projection, completed, pending, &frontier, final_segment) {
-                Ok(Some(next)) => {
-                    outcome.fast_segments += 1;
-                    if next.is_empty() {
-                        outcome.violation = Some((
-                            segment_index,
-                            format!(
-                                "{object}: fetch&increment projection is not linearizable \
-                                 from any frontier state"
-                            ),
-                        ));
-                        outcome.frontier = frontier;
-                        return (outcome, scratch);
-                    }
-                    frontier = next;
-                    continue;
-                }
-                Ok(None) => {} // not a pure fetch&inc segment: fall through
-                Err(()) => {}  // ditto
-            }
-        }
-        let condition = TLinearizability::new(0);
-        let problem = condition.problem(projection);
-        let mut outgoing: BTreeSet<Value> = BTreeSet::new();
-        let mut any_yes = false;
-        for state in &frontier {
-            let mut uni = universe.clone();
-            uni.set_initial_state(object, state.clone());
-            if final_segment {
-                // Nothing consumes the outgoing frontier: a plain witness
-                // search decides the tail (pending operations included).
-                let (result, stats) =
-                    kernel::solve_with_scratch(&problem, &uni, limits, &mut scratch);
-                outcome.stats.absorb(stats);
-                match result {
-                    SearchResult::Yes(_) => {
-                        any_yes = true;
-                        break;
-                    }
-                    SearchResult::Unknown => outcome.incomplete = true,
-                    SearchResult::No => {}
-                }
-            } else {
-                let (set, stats) =
-                    kernel::solve_frontiers(&problem, &uni, limits, &[], &mut scratch);
-                outcome.stats.absorb(stats);
-                if !set.complete {
-                    outcome.incomplete = true;
-                }
-                for entry in set.entries {
-                    any_yes = true;
-                    for (o, v) in entry.states {
-                        if o == object {
-                            outgoing.insert(v);
-                        }
-                    }
-                }
-            }
-        }
-        if !any_yes {
-            outcome.violation = Some((
-                segment_index,
-                format!("{object}: segment has no linearization from any frontier state"),
-            ));
-            outcome.frontier = frontier;
-            return (outcome, scratch);
-        }
-        if final_segment {
-            break;
-        }
-        if outgoing.len() > max_frontiers {
-            outcome.incomplete = true;
-            outcome.frontier = frontier;
-            return (outcome, scratch);
-        }
-        frontier = outgoing.into_iter().collect();
-    }
-    outcome.frontier = frontier;
-    (outcome, scratch)
+    /// Index of the segment in the batch.
+    segment: usize,
+    /// For a multi-object segment, the range of `MonitorCheck::lin_events`
+    /// holding the object's event indices in stream order; unused for a
+    /// single-object segment, which is checked by borrowing it whole.
+    events: std::ops::Range<usize>,
 }
 
 /// Fast-path step: decides a pure fetch&increment projection from every
-/// frontier state with [`crate::fi`] and returns the outgoing frontier.
+/// frontier state with [`crate::fi`] and writes the outgoing frontier to
+/// `next` (left empty when no frontier state admits a linearization).
 /// `completed`/`pending` are the projection's operation counts, supplied by
 /// the caller (tracked at ingest for single-object segments).
 ///
-/// `Ok(None)`/`Err(())` mean "not eligible — use the kernel".  For the final
-/// segment the outgoing frontier is unused; a singleton dummy is returned on
-/// success.
+/// Returns `false` when the projection is not eligible — use the kernel.
+/// For the final segment the outgoing frontier is unused; a singleton dummy
+/// is written on success.
 fn fi_step(
     projection: &History,
     completed: usize,
     pending: usize,
     frontier: &[Value],
     is_final: bool,
-) -> Result<Option<Vec<Value>>, ()> {
+    next: &mut Vec<Value>,
+) -> bool {
+    next.clear();
     if !is_final && pending > 0 {
         // Mid-stream segments are quiescent by construction; be safe.
-        return Ok(None);
+        return false;
     }
-    let mut outgoing = Vec::new();
     for state in frontier {
-        let initial = state.as_int().ok_or(())?;
+        let Some(initial) = state.as_int() else {
+            return false;
+        };
         match fi::is_linearizable(projection, initial) {
             Ok(true) => {
                 if is_final {
-                    return Ok(Some(vec![Value::from(initial)]));
+                    next.clear();
+                    next.push(Value::from(initial));
+                    return true;
                 }
                 // All operations are complete, so every witness linearizes
                 // exactly `completed` operations: the outgoing state is
                 // unique per incoming state.
-                outgoing.push(Value::from(initial + completed as i64));
+                next.push(Value::from(initial + completed as i64));
             }
             Ok(false) => {}
-            Err(_) => return Ok(None), // not a pure fetch&inc projection
+            Err(_) => return false, // not a pure fetch&inc projection
         }
     }
-    Ok(Some(outgoing))
+    true
 }
 
 /// Builds the Definition-1 problem for one completed operation from the
@@ -2227,7 +2277,7 @@ mod tests {
     fn arena_reuse_keeps_peak_bytes_flat_across_segments() {
         // Identical register segments, checked through the kernel (registers
         // have no fast path): after the first batch has sized the pooled
-        // per-object scratch, further batches must reuse it — the memory
+        // scratch, further batches must reuse it — the memory
         // high-water mark reported in `stats.search.arena_bytes` stays
         // exactly flat no matter how many more segments stream through.
         let mut u = ObjectUniverse::new();
@@ -2261,6 +2311,55 @@ mod tests {
             after_first,
             "per-segment arena reuse must keep the peak flat across batches"
         );
+    }
+
+    #[test]
+    fn earliest_violating_segment_wins_over_object_order() {
+        // One batch in which the higher-id object (a fetch&increment, fast
+        // path) violates in segment 1 and the lower-id object (a register,
+        // kernel search) violates in segment 3.  The per-object walk visits
+        // the register first, but the report must name segment 1.
+        let mut u = ObjectUniverse::new();
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        let x = u.add_object(FetchIncrement::new());
+        let h = HistoryBuilder::new()
+            .complete(ProcessId(0), r, Register::read(), Value::from(0i64))
+            .complete(
+                ProcessId(1),
+                x,
+                FetchIncrement::fetch_inc(),
+                Value::from(5i64),
+            )
+            .complete(
+                ProcessId(0),
+                r,
+                Register::write(Value::from(1i64)),
+                Value::Unit,
+            )
+            .complete(ProcessId(0), r, Register::read(), Value::from(7i64))
+            .build();
+        assert!(!linearizability::is_linearizable(&h, &u));
+        for segment_batch in [1, 64] {
+            let mut m = Monitor::new(
+                u.clone(),
+                MonitorConfig {
+                    segment_batch,
+                    ..MonitorConfig::default()
+                },
+            );
+            m.ingest_all(h.iter().cloned()).unwrap();
+            let report = m.finish();
+            let MonitorVerdict::Violation(v) = &report.verdict else {
+                panic!("expected a violation at batch {segment_batch}: {report:?}");
+            };
+            assert_eq!(
+                (v.segment_start, v.segment_len, v.object),
+                (2, 2, Some(x)),
+                "batch {segment_batch}: {v}"
+            );
+            // Only segment 0 was verified before the violation.
+            assert_eq!(report.stats.checked_ops, 1, "batch {segment_batch}");
+        }
     }
 
     #[test]

@@ -23,17 +23,6 @@ pub(crate) fn map_par<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync 
     items.par_iter().map(f).collect()
 }
 
-/// Owned-item twin of [`map_par`]: moves each item into `f`.  The monitor
-/// uses this to thread its per-object [`crate::kernel::KernelScratch`] pools
-/// through the parallel per-object segment checks and get them back, so the
-/// pooled arenas survive from one segment batch to the next.
-pub(crate) fn map_par_into<T: Send, R: Send>(
-    items: Vec<T>,
-    f: impl Fn(T) -> R + Sync + Send,
-) -> Vec<R> {
-    items.into_par_iter().map(f).collect()
-}
-
 /// Chunked variant of [`map_par`] with per-chunk mutable state: `items` is
 /// split into runs of `chunk`, each run gets one fresh `init()` value
 /// threaded through its calls to `f`, and the flattened results preserve

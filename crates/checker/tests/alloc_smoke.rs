@@ -1,4 +1,5 @@
-//! Allocation-count smoke test for the kernel hot path.
+//! Allocation-count smoke test for the kernel hot path and the monitor's
+//! check stage.
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! solve has sized the pooled [`KernelScratch`] buffers, repeating the same
@@ -135,5 +136,56 @@ fn warmed_up_fi_checks_stay_linear_in_allocations() {
         allocs <= 40,
         "fi::is_linearizable allocated {allocs} times for 1000 ops — \
          its working set must not grow per operation"
+    );
+}
+
+#[test]
+fn warmed_up_monitor_check_stays_within_a_per_segment_budget() {
+    use evlin_checker::monitor::{stages, MonitorConfig};
+    let _serial = MEASURE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    // The check stage on the counter workloads' shape: every segment is one
+    // fetch&increment on its own object, 64 segments over 64 objects per
+    // batch, all decided by the `fi` fast path.
+    const OBJECTS: usize = 64;
+    let mut u = ObjectUniverse::new();
+    let objects: Vec<_> = (0..OBJECTS)
+        .map(|_| u.add_object(FetchIncrement::new()))
+        .collect();
+    let config = MonitorConfig {
+        segment_batch: OBJECTS,
+        ..MonitorConfig::default()
+    };
+    let (mut ingest, mut check) = stages(u, config);
+    let mut round = 0i64;
+    let mut next_batch = || {
+        for (k, &object) in objects.iter().enumerate() {
+            let p = ProcessId(k % 4);
+            ingest
+                .invoke(p, object, FetchIncrement::fetch_inc())
+                .unwrap();
+            ingest.respond(p, object, Value::from(round)).unwrap();
+        }
+        round += 1;
+        ingest.take_ready_batch().expect("one segment per object")
+    };
+    // Warm-up: sizes the pooled buffers and every object's frontier.
+    for _ in 0..4 {
+        check.check_batch(next_batch());
+    }
+    let batch = next_batch();
+    assert_eq!(batch.len(), OBJECTS);
+    let (allocs, ()) = allocations(|| check.check_batch(batch));
+    assert!(check.verdict_so_far().is_ok());
+    // Six allocations per segment are `fi::is_linearizable`'s own working
+    // vectors on a one-operation projection; the drain itself allocates
+    // nothing once warm (pairs, outgoing frontiers and frontier vectors are
+    // pooled, and no thread is spawned per batch).
+    const PER_SEGMENT: usize = 6;
+    assert!(
+        allocs <= PER_SEGMENT * OBJECTS,
+        "check_batch allocated {allocs} times for {OBJECTS} fast-path segments \
+         (budget {PER_SEGMENT} per segment)"
     );
 }

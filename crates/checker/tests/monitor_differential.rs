@@ -17,8 +17,8 @@
 use evlin_checker::kernel::{self, SearchLimits};
 use evlin_checker::monitor::{stages, Monitor, MonitorCondition, MonitorConfig, MonitorVerdict};
 use evlin_checker::{eventual, linearizability, t_linearizability, weak_consistency};
-use evlin_history::{History, HistoryBuilder, ObjectUniverse, ProcessId};
-use evlin_spec::{FetchIncrement, Register, Value};
+use evlin_history::{History, HistoryBuilder, ObjectId, ObjectUniverse, ProcessId};
+use evlin_spec::{FetchIncrement, Invocation, Register, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -190,6 +190,126 @@ fn check_staged_all_conditions(seed: u64, max_ops: usize) {
     );
 }
 
+/// A universe of `objects` objects alternating fetch&increment and register
+/// (even ids fetch&increment, odd ids registers) — the many-object shape of
+/// the service and benchmark streams.
+fn wide_universe(objects: usize) -> ObjectUniverse {
+    let mut u = ObjectUniverse::new();
+    for o in 0..objects {
+        if o.is_multiple_of(2) {
+            u.add_object(FetchIncrement::new());
+        } else {
+            u.add_object(Register::new(Value::from(0i64)));
+        }
+    }
+    u
+}
+
+/// Random well-formed history over [`wide_universe`]: overlapping operations
+/// on random objects, mostly correct responses (each operation takes effect
+/// at its response) with rare noisy ones, so violations, when present, can
+/// sit deep in the stream behind many verified segments; processes still
+/// pending at the end leave a pending tail.
+fn wide_history(seed: u64, objects: usize, ops: usize) -> History {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let processes = rng.gen_range(2..6usize);
+    let noise = [0.0, 0.002, 0.02][rng.gen_range(0..3usize)];
+    let mut state: Vec<i64> = vec![0; objects];
+    let mut pending: Vec<Option<(ObjectId, Invocation)>> = vec![None; processes];
+    let mut b = HistoryBuilder::new();
+    let mut invoked = 0usize;
+    while invoked < ops || pending.iter().any(Option::is_some) {
+        let p = rng.gen_range(0..processes);
+        match pending[p].take() {
+            Some((object, invocation)) => {
+                // Leave a pending tail once the budget is spent.
+                if invoked >= ops && rng.gen_bool(0.2) {
+                    break;
+                }
+                let s = &mut state[object.0];
+                let mut response = match invocation.method() {
+                    "fetch_inc" => {
+                        *s += 1;
+                        Value::from(*s - 1)
+                    }
+                    "write" => {
+                        *s = invocation.args()[0].as_int().expect("int write");
+                        Value::Unit
+                    }
+                    _ => Value::from(*s),
+                };
+                if response != Value::Unit && rng.gen_bool(noise) {
+                    response = Value::from(rng.gen_range(0..4i64));
+                }
+                b = b.respond(ProcessId(p), object, response);
+            }
+            None if invoked < ops => {
+                let object = ObjectId(rng.gen_range(0..objects));
+                let invocation = if object.0.is_multiple_of(2) {
+                    FetchIncrement::fetch_inc()
+                } else if rng.gen_bool(0.5) {
+                    Register::write(Value::from(rng.gen_range(1..4i64)))
+                } else {
+                    Register::read()
+                };
+                b = b.invoke(ProcessId(p), object, invocation.clone());
+                pending[p] = Some((object, invocation));
+                invoked += 1;
+            }
+            None => {}
+        }
+    }
+    b.build()
+}
+
+/// Many objects at the service's batch sizes: the inline [`Monitor`] and the
+/// split [`stages`] must both agree with the offline kernel, and with each
+/// other on every counter, at `segment_batch` 1, 4 and the default 64 — the
+/// batches in which one check pass walks many objects' segment runs.
+fn check_wide_linearizability(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x31de_0b1e);
+    let objects = rng.gen_range(16..33usize);
+    let h = wide_history(seed, objects, rng.gen_range(40..160usize));
+    let u = wide_universe(objects);
+    let offline = linearizability::is_linearizable(&h, &u);
+    for segment_batch in [1, 4, 64] {
+        let config = MonitorConfig {
+            segment_batch,
+            ..MonitorConfig::default()
+        };
+        let mut monitor = Monitor::new(u.clone(), config);
+        monitor
+            .ingest_all(h.iter().cloned())
+            .expect("generated streams are well-formed");
+        let inline = monitor.finish();
+        let (mut ingest, mut check) = stages(u.clone(), config);
+        for event in h.iter().cloned() {
+            ingest
+                .ingest(event)
+                .expect("generated streams are well-formed");
+            if let Some(batch) = ingest.take_ready_batch() {
+                check.check_batch(batch);
+            }
+        }
+        let (tail, summary) = ingest.finish();
+        let staged = check.finish(tail, summary);
+        assert_ne!(
+            inline.verdict,
+            MonitorVerdict::Unknown,
+            "budgets must not be exhausted at test sizes\n{h}"
+        );
+        assert_eq!(
+            inline.verdict.is_ok(),
+            offline,
+            "wide linearizability mismatch (seed {seed}, batch {segment_batch})\n{h}"
+        );
+        assert_eq!(
+            staged, inline,
+            "staged and inline monitors disagree (seed {seed}, batch {segment_batch})"
+        );
+    }
+}
+
 fn check_linearizability(seed: u64, max_ops: usize) {
     let h = random_history(seed, max_ops);
     let offline = linearizability::is_linearizable(&h, &universe());
@@ -283,6 +403,11 @@ proptest! {
     fn staged_pipeline_matches_offline_all_conditions(seed in 0u64..u64::MAX / 2) {
         check_staged_all_conditions(seed, 6);
     }
+
+    #[test]
+    fn wide_batches_match_offline_linearizability(seed in 0u64..u64::MAX / 2) {
+        check_wide_linearizability(seed);
+    }
 }
 
 /// Number of cases for the `#[ignore]`d extended (nightly-fuzz) tests.
@@ -330,5 +455,13 @@ fn extended_monitor_vs_offline_stabilizes_eventually() {
 fn extended_staged_pipeline_vs_offline_all_conditions() {
     for seed in 0..extended_cases() / 4 {
         check_staged_all_conditions(seed.wrapping_mul(0x9e37_79b9), 7);
+    }
+}
+
+#[test]
+#[ignore = "extended fuzz: run via the nightly CI job or with --ignored"]
+fn extended_wide_batches_vs_offline_linearizability() {
+    for seed in 0..extended_cases() / 4 {
+        check_wide_linearizability(seed.wrapping_mul(0x9e37_79b9));
     }
 }
