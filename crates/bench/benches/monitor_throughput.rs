@@ -1,29 +1,25 @@
 //! E11/E16 bench: sustained throughput of the online consistency monitor.
 //!
-//! Four complementary measurements:
+//! Three complementary measurements:
 //!
 //! * `ingest` — the monitor alone, fed a pre-generated well-formed
 //!   fetch&increment stream (no worker threads, no channel): the pure cost
 //!   of quiescent-cut segmentation + per-segment checking, in events/s;
-//! * `live` — the single-channel pipeline of experiment E11 (real threads →
-//!   streaming recorder → bounded SPSC channel → monitor thread), in
-//!   checked-ops/s;
 //! * `pipelined/p{N}` — the sharded, frame-batched, pipelined dataflow of
-//!   E16 (N recorder shards → k-way merge + quiescent-cut ingest → check
+//!   E11/E16 (N recorder shards → k-way merge + quiescent-cut ingest → check
 //!   stage), in checked-ops/s, with the producer count as the axis;
+//!   `pipelined/p1` is the end-to-end runtime gate;
 //! * `pipelined/merge` — the transport + merge alone (shards → `recv_sorted`
 //!   drain, no monitor), in events/s: the ceiling the transport imposes.
 //!
-//! The CI `bench-gate` job compares the `ingest`, `live` and `pipelined`
-//! means against the baselines committed in BENCH_checker.json.
+//! The CI `bench-gate` job compares the `ingest` and `pipelined` means
+//! against the baselines committed in BENCH_checker.json.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use evlin_checker::monitor::{Monitor, MonitorConfig};
 use evlin_history::{Event, HistoryBuilder, ObjectUniverse, ProcessId};
 use evlin_runtime::counter::FetchAddCounter;
-use evlin_runtime::harness::{
-    run_counter_workload_monitored, run_counter_workload_pipelined, HarnessOptions, PipelineOptions,
-};
+use evlin_runtime::harness::{run_counter_workload_pipelined, HarnessOptions, PipelineOptions};
 use evlin_runtime::sharded_recorder;
 use evlin_spec::{FetchIncrement, Value};
 
@@ -84,42 +80,12 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_live(c: &mut Criterion) {
-    let mut group = c.benchmark_group("monitor/live");
-    let threads = 4usize;
-    let ops_per_thread = 50_000usize;
-    let total = threads * ops_per_thread;
-    group.throughput(Throughput::Elements(total as u64));
-    group.bench_with_input(
-        BenchmarkId::from_parameter(total),
-        &ops_per_thread,
-        |b, &ops_per_thread| {
-            b.iter(|| {
-                let counter = FetchAddCounter::new();
-                let out = run_counter_workload_monitored(
-                    &counter,
-                    HarnessOptions {
-                        threads,
-                        ops_per_thread,
-                        record_history: true,
-                    },
-                    monitor_config(),
-                    8192,
-                );
-                assert!(out.report.verdict.is_ok());
-                out
-            });
-        },
-    );
-    group.finish();
-}
-
 fn bench_pipelined(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor/pipelined");
     let total = 200_000usize;
     for &producers in &[1usize, 2, 4] {
         // Elements = completed operations, so the printed rate is
-        // checked-ops/s — directly comparable with `monitor/live`.
+        // checked-ops/s.
         group.throughput(Throughput::Elements(total as u64));
         group.bench_with_input(
             BenchmarkId::new(format!("p{producers}"), total),
@@ -184,10 +150,5 @@ fn bench_pipelined(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    monitor_throughput,
-    bench_ingest,
-    bench_live,
-    bench_pipelined
-);
+criterion_group!(monitor_throughput, bench_ingest, bench_pipelined);
 criterion_main!(monitor_throughput);

@@ -4,7 +4,7 @@
 //! four producer clients stream a 1024-object fetch&add workload over the
 //! in-process transport into a replica pool of 1 or 4 shards.  Elements =
 //! completed operations, so the printed rate is checked-ops/s — directly
-//! comparable with `monitor/live` and `monitor/pipelined`.  The 1→4 gap is
+//! comparable with `monitor/pipelined`.  The 1→4 gap is
 //! the per-shard projection reduction (each replica projects only its own
 //! objects out of every multi-object segment); see the module docs of
 //! `e14_service_saturation` for why this holds even on one core.

@@ -11,18 +11,16 @@
 //! monitor runs as two overlapping stages — quiescent-cut ingest on the
 //! merge thread, kernel checking on its own thread.
 //!
-//! The table sweeps producer count × frame size against the single-channel
-//! baseline measured in the same run.  Verdicts are bit-identical to the
-//! inline monitor's by construction (`crates/runtime/tests/
-//! pipeline_differential.rs` proves it against the offline kernel); only the
-//! synchronization cost per event changes — which is the whole point.
+//! The table sweeps producer count × frame size; each row's ratio is taken
+//! against the one-producer row at the same frame size.  Verdicts are
+//! bit-identical to the inline monitor's by construction
+//! (`crates/runtime/tests/pipeline_differential.rs` proves it against the
+//! offline kernel); only the synchronization cost per event changes.
 
 use crate::Table;
 use evlin_checker::monitor::{MonitorConfig, MonitorVerdict};
 use evlin_runtime::counter::FetchAddCounter;
-use evlin_runtime::harness::{
-    run_counter_workload_monitored, run_counter_workload_pipelined, HarnessOptions, PipelineOptions,
-};
+use evlin_runtime::harness::{run_counter_workload_pipelined, HarnessOptions, PipelineOptions};
 
 fn verdict_label(verdict: &MonitorVerdict) -> &'static str {
     match verdict {
@@ -47,10 +45,8 @@ pub fn run(quick: bool) -> Vec<Table> {
     let producer_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
     let mut table = Table::new(
         "E16 — pipelined sharded ingest: checked ops/s by producer count × \
-         frame size, vs the single-channel monitored path (fetch-add \
-         counter, same total operations per row)",
+         frame size (fetch-add counter, same total operations per row)",
         &[
-            "path",
             "producers",
             "frame",
             "ops",
@@ -59,42 +55,15 @@ pub fn run(quick: bool) -> Vec<Table> {
             "events/s",
             "merge frames",
             "partial frames",
-            "vs single-channel",
+            "vs p1 at this frame",
         ],
     );
 
-    // The 'before' path, measured back-to-back in the same run: one
-    // mutex-serialized recorder, one per-event SPSC channel, one consumer.
-    let baseline = run_counter_workload_monitored(
-        &FetchAddCounter::new(),
-        HarnessOptions {
-            threads: 4,
-            ops_per_thread: total_ops / 4,
-            record_history: false,
-        },
-        monitor_config(),
-        8192,
-    );
-    let base_rate = baseline.checked_ops_per_sec();
-    table.push_row([
-        "single-channel".to_string(),
-        "4".to_string(),
-        "—".to_string(),
-        baseline.run.total_ops.to_string(),
-        verdict_label(&baseline.report.verdict).to_string(),
-        format!("{base_rate:.0}"),
-        format!(
-            "{:.0}",
-            baseline.report.stats.events as f64
-                / baseline.total_elapsed.as_secs_f64().max(f64::EPSILON)
-        ),
-        "—".to_string(),
-        "—".to_string(),
-        "1.00x".to_string(),
-    ]);
-
+    // Checked ops/s of the one-producer row at each frame size (the first
+    // producer count is 1, so these fill before any ratio is taken).
+    let mut p1_rates = vec![0.0f64; frame_sizes.len()];
     for &producers in producer_counts {
-        for &frame_capacity in frame_sizes {
+        for (i, &frame_capacity) in frame_sizes.iter().enumerate() {
             let out = run_counter_workload_pipelined(
                 &FetchAddCounter::new(),
                 HarnessOptions {
@@ -108,8 +77,10 @@ pub fn run(quick: bool) -> Vec<Table> {
                     ring_frames: 8,
                 },
             );
+            if producers == 1 {
+                p1_rates[i] = out.checked_ops_per_sec();
+            }
             table.push_row([
-                "pipelined".to_string(),
                 producers.to_string(),
                 frame_capacity.to_string(),
                 out.run.total_ops.to_string(),
@@ -120,7 +91,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                 out.sink.flushed_partial_frames.to_string(),
                 format!(
                     "{:.2}x",
-                    out.checked_ops_per_sec() / base_rate.max(f64::EPSILON)
+                    out.checked_ops_per_sec() / p1_rates[i].max(f64::EPSILON)
                 ),
             ]);
         }
@@ -136,20 +107,19 @@ mod tests {
     fn every_row_verifies_online_and_counts_add_up() {
         let tables = run(true);
         let rows = &tables[0].rows;
-        // 1 baseline row + producers × frame sizes.
-        assert_eq!(rows.len(), 1 + 2 * 2);
+        // Producers × frame sizes.
+        assert_eq!(rows.len(), 2 * 2);
         for row in rows {
-            assert_eq!(row[4], "linearizable", "{row:?}");
-            assert_eq!(row[3], "4000", "{row:?}");
+            assert_eq!(row[3], "linearizable", "{row:?}");
+            assert_eq!(row[2], "4000", "{row:?}");
         }
-        // Every pipelined row shipped at least one frame, and each shard
-        // flushed a partial tail exactly when its stream does not divide
-        // into whole frames.
-        for row in &rows[1..] {
-            assert_eq!(row[0], "pipelined");
-            assert!(row[7].parse::<usize>().unwrap() > 0, "{row:?}");
-            let producers: usize = row[1].parse().unwrap();
-            let frame: usize = row[2].parse().unwrap();
+        // Every row shipped at least one frame, and each shard flushed a
+        // partial tail exactly when its stream does not divide into whole
+        // frames.
+        for row in rows {
+            assert!(row[6].parse::<usize>().unwrap() > 0, "{row:?}");
+            let producers: usize = row[0].parse().unwrap();
+            let frame: usize = row[1].parse().unwrap();
             let events_per_shard = 2 * (4_000 / producers);
             let expected_partials = if events_per_shard.is_multiple_of(frame) {
                 0
@@ -157,10 +127,14 @@ mod tests {
                 producers
             };
             assert_eq!(
-                row[8].parse::<usize>().unwrap(),
+                row[7].parse::<usize>().unwrap(),
                 expected_partials,
                 "{row:?}"
             );
+        }
+        // The one-producer rows are their own baseline.
+        for row in rows.iter().filter(|row| row[0] == "1") {
+            assert_eq!(row[8], "1.00x", "{row:?}");
         }
     }
 }

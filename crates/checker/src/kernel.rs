@@ -263,10 +263,11 @@ impl KernelScratch {
     }
 
     /// Prepares the scratch for a problem with `n` operations: clears the
-    /// visited cache (keeping its allocation) and ensures the taken-set has
-    /// capacity for `n` bits and is empty.
+    /// visited cache and the frontier-dedup keys (keeping their allocations)
+    /// and ensures the taken-set has capacity for `n` bits and is empty.
     fn prepare(&mut self, n: usize) {
         self.visited.clear();
+        self.frontier_seen.clear();
         if self.capacity < n || self.capacity == 0 {
             self.taken = BitSet::with_capacity(n.max(1));
             self.capacity = n.max(1);
@@ -977,7 +978,6 @@ impl<'a> Searcher<'a> {
         tracked: &[usize],
     ) -> (Vec<RawFrontier>, bool) {
         scratch.prepare(self.n);
-        scratch.frontier_seen.clear();
         let mut out: Vec<RawFrontier> = Vec::new();
         let mut frames = std::mem::take(&mut self.b.frames);
         frames.push(Frame {
@@ -1537,5 +1537,185 @@ mod tests {
             stats.nodes <= 2 * (n + 1),
             "interchangeable reads must collapse into one chain: {stats:?}"
         );
+    }
+
+    #[test]
+    fn plain_solve_after_solve_frontiers_reports_no_stale_frontier_bytes() {
+        // A scratch that last ran `solve_frontiers` must report the same
+        // counters for a plain solve as a fresh scratch: the frontier-dedup
+        // keys of the earlier run are not part of this search's working set.
+        let (u, h) = two_object_history();
+        let p = Linearizability.problem(&h);
+        let limits = SearchLimits::default();
+        let fresh = solve_with_scratch(&p, &u, limits, &mut KernelScratch::new());
+        let mut reused = KernelScratch::new();
+        let (frontiers, _) = solve_frontiers(&p, &u, limits, &[], &mut reused);
+        assert!(frontiers.is_satisfiable());
+        let after = solve_with_scratch(&p, &u, limits, &mut reused);
+        assert_eq!(after.0, fresh.0);
+        assert_eq!(after.1.nodes, fresh.1.nodes);
+        assert_eq!(after.1.memo_hits, fresh.1.memo_hits);
+        assert_eq!(after.1.arena_bytes, fresh.1.arena_bytes);
+    }
+
+    /// A hand-built problem over every operation of `history`: complete
+    /// operations required, responses fixed when `fix_all`, and an explicit
+    /// edge for every real-time-ordered pair.
+    fn problem_from(history: &History, fix_all: bool) -> SearchProblem {
+        let ops = history.operations();
+        let precedence = (0..ops.len())
+            .flat_map(|i| (0..ops.len()).map(move |j| (i, j)))
+            .filter(|&(i, j)| i != j && ops[i].precedes(&ops[j]))
+            .collect();
+        SearchProblem {
+            ops: ops
+                .iter()
+                .map(|op| ConstrainedOp {
+                    required: op.is_complete(),
+                    fixed_response: if fix_all { op.response.clone() } else { None },
+                    record: op.clone(),
+                })
+                .collect(),
+            precedence,
+        }
+    }
+
+    #[test]
+    fn witness_respects_precedence_and_fixed_responses() {
+        let mut u = ObjectUniverse::new();
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        let h = HistoryBuilder::new()
+            .complete(
+                ProcessId(0),
+                r,
+                Register::write(Value::from(1i64)),
+                Value::Unit,
+            )
+            .complete(
+                ProcessId(0),
+                r,
+                Register::write(Value::from(2i64)),
+                Value::Unit,
+            )
+            .complete(ProcessId(1), r, Register::read(), Value::from(2i64))
+            .build();
+        let p = problem_from(&h, true);
+        let w = solve(&p, &u, SearchLimits::default())
+            .0
+            .witness()
+            .expect("linearizable");
+        assert_eq!(w.order.len(), 3);
+        let pos = |i: usize| w.order.iter().position(|&x| x == i).unwrap();
+        for &(a, b) in &p.precedence {
+            assert!(pos(a) < pos(b), "edge ({a},{b}) violated");
+        }
+        for (&i, response) in w.order.iter().zip(&w.responses) {
+            assert_eq!(Some(response), p.ops[i].fixed_response.as_ref());
+        }
+    }
+
+    #[test]
+    fn pending_write_can_justify_a_read() {
+        let mut u = ObjectUniverse::new();
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        // p0's write(5) never completes, but p1 reads 5: linearizable by
+        // including the pending write.
+        let h = HistoryBuilder::new()
+            .invoke(ProcessId(0), r, Register::write(Value::from(5i64)))
+            .complete(ProcessId(1), r, Register::read(), Value::from(5i64))
+            .build();
+        let (result, _) = solve(&problem_from(&h, true), &u, SearchLimits::default());
+        let w = result.witness().expect("linearizable with pending write");
+        assert_eq!(w.order.len(), 2);
+    }
+
+    #[test]
+    fn unfixed_responses_relax_the_problem() {
+        let mut u = ObjectUniverse::new();
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        let h = HistoryBuilder::new()
+            .complete(
+                ProcessId(0),
+                r,
+                Register::write(Value::from(1i64)),
+                Value::Unit,
+            )
+            .complete(ProcessId(1), r, Register::read(), Value::from(99i64))
+            .build();
+        let limits = SearchLimits::default();
+        // With fixed responses the read of 99 is illegal...
+        assert_eq!(
+            solve(&problem_from(&h, true), &u, limits).0,
+            SearchResult::No
+        );
+        // ...but if responses are left free the operations can be arranged.
+        assert!(solve(&problem_from(&h, false), &u, limits).0.is_yes());
+    }
+
+    #[test]
+    fn node_budget_reports_unknown() {
+        let mut u = ObjectUniverse::new();
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        let mut b = HistoryBuilder::new();
+        for i in 0..6 {
+            b = b
+                .invoke(ProcessId(i), r, Register::write(Value::from(i as i64)))
+                .invoke(ProcessId(i + 6), r, Register::read());
+        }
+        for i in 0..6 {
+            b = b.respond(ProcessId(i), r, Value::Unit).respond(
+                ProcessId(i + 6),
+                r,
+                Value::from(((i + 1) % 6) as i64),
+            );
+        }
+        let p = problem_from(&b.build(), true);
+        let (result, _) = solve(&p, &u, SearchLimits { max_nodes: 3 });
+        assert_eq!(result, SearchResult::Unknown);
+    }
+
+    #[test]
+    fn memoization_hits_on_revisited_set_and_states() {
+        // Three concurrent writes on three *distinct* registers, plus an
+        // unsatisfiable fixed response (a read of 7 that nothing wrote): the
+        // search must explore every subset of the writes, and different
+        // interleavings of distinct operations reach the same
+        // (linearized-multiset, object-states) key — every arrival after the
+        // first must be answered by the Wing–Gong cache.
+        let mut u = ObjectUniverse::new();
+        let regs: Vec<_> = (0..3)
+            .map(|_| u.add_object(Register::new(Value::from(0i64))))
+            .collect();
+        let bad = u.add_object(Register::new(Value::from(0i64)));
+        let mut b = HistoryBuilder::new();
+        for (p, &r) in regs.iter().enumerate() {
+            b = b.invoke(ProcessId(p), r, Register::write(Value::from(1i64)));
+        }
+        for (p, &r) in regs.iter().enumerate() {
+            b = b.respond(ProcessId(p), r, Value::Unit);
+        }
+        let h = b
+            .complete(ProcessId(3), bad, Register::read(), Value::from(7i64))
+            .build();
+        let (result, stats) = solve(&problem_from(&h, true), &u, SearchLimits::default());
+        assert_eq!(result, SearchResult::No);
+        assert!(stats.nodes > 0);
+        // 2^3 subsets of the writes, reachable along 3! orders: the cache
+        // must absorb the difference (3 * 2^2 - (2^3 - 1) = 5 hits).
+        assert!(
+            stats.memo_hits >= 4,
+            "revisited (multiset, states) keys must hit the cache: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn empty_problem_is_trivially_satisfiable() {
+        let p = SearchProblem {
+            ops: Vec::new(),
+            precedence: Vec::new(),
+        };
+        assert!(solve(&p, &ObjectUniverse::new(), SearchLimits::default())
+            .0
+            .is_yes());
     }
 }

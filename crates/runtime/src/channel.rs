@@ -1,24 +1,17 @@
-//! A small bounded SPSC channel for streaming recorded events.
+//! A small bounded channel: the building block of the runtime's dataflows.
 //!
-//! The live-monitoring pipeline is a single producer (the [`crate::Recorder`]
-//! emitting events in sequence order) feeding a single consumer (the monitor
-//! thread ingesting them into `evlin_checker::monitor::Monitor`).  The
-//! channel is *bounded*: when the monitor falls behind, `send` blocks, which
-//! back-pressures the recording threads instead of letting the event queue
-//! grow without bound — the whole point of the online monitor is that memory
-//! stays independent of history length.
+//! Every producer ring of the frame transport ([`sharded`]) is one of these
+//! channels carrying whole frames, the pipelined harness hands closed
+//! segment batches from its merge stage to its check stage through one, and
+//! the monitoring service's in-process transport is built on them.  The
+//! channel is *bounded*: when the consumer falls behind, `send` blocks,
+//! which back-pressures the producers instead of letting the queue grow
+//! without bound — the online monitor's memory stays independent of
+//! history length.
 //!
 //! Built on `std::sync::{Mutex, Condvar}` only (the workspace has no external
 //! concurrency dependencies).  The implementation is safe for any number of
-//! senders/receivers; "SPSC" describes the intended and tested usage, not an
-//! unsafe fast path.
-//!
-//! Every channel keeps [`ChannelStats`] — items sent, times a caller parked,
-//! condvar notifications issued — so benchmarks can attribute exactly where
-//! a per-event path spends its lock and wake traffic (the motivation for the
-//! batch APIs [`Sender::send_batch`] / [`Receiver::recv_many`] and for the
-//! per-producer frame transport in [`sharded`], which amortize all three per
-//! frame instead of per event).
+//! senders/receivers.
 
 pub mod sharded;
 
@@ -110,24 +103,6 @@ impl<T> fmt::Debug for TrySendError<T> {
     }
 }
 
-/// Contention counters for one channel, shared by both halves.
-///
-/// The counters quantify exactly the per-event costs the frame transport
-/// ([`sharded`]) amortizes: `sends` is lock acquisitions that enqueued
-/// something, `blocked_waits` is how often a caller parked on a condvar
-/// (sender on full, receiver on empty), and `wakeups` is how many condvar
-/// notifications were issued.  A healthy batched pipeline shows `sends` and
-/// `wakeups` growing per *frame* while the event count grows per *event*.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChannelStats {
-    /// Items successfully enqueued (one per item, including batch members).
-    pub sends: u64,
-    /// Times a sender or receiver parked on a condvar.
-    pub blocked_waits: u64,
-    /// Condvar notifications issued (by sends, receives and batch flushes).
-    pub wakeups: u64,
-}
-
 struct Shared<T> {
     queue: Mutex<Inner<T>>,
     /// Signalled when the queue gains an item or the sender hangs up.
@@ -141,7 +116,6 @@ struct Inner<T> {
     capacity: usize,
     senders: usize,
     receivers: usize,
-    stats: ChannelStats,
 }
 
 /// The sending half of a bounded channel (see [`bounded`]).
@@ -163,7 +137,6 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             capacity: capacity.max(1),
             senders: 1,
             receivers: 1,
-            stats: ChannelStats::default(),
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -192,12 +165,9 @@ impl<T> Sender<T> {
             }
             if inner.items.len() < inner.capacity {
                 inner.items.push_back(item);
-                inner.stats.sends += 1;
-                inner.stats.wakeups += 1;
                 self.shared.not_empty.notify_one();
                 return Ok(());
             }
-            inner.stats.blocked_waits += 1;
             inner = self.shared.not_full.wait(inner).expect("channel mutex");
         }
     }
@@ -212,55 +182,11 @@ impl<T> Sender<T> {
         }
         if inner.items.len() < inner.capacity {
             inner.items.push_back(item);
-            inner.stats.sends += 1;
-            inner.stats.wakeups += 1;
             self.shared.not_empty.notify_one();
             Ok(())
         } else {
             Err(TrySendError::Full(item))
         }
-    }
-
-    /// Sends a whole batch under a single lock acquisition per room-making
-    /// round, notifying once per round instead of once per item.  Blocks
-    /// (like [`Sender::send`]) whenever the channel fills mid-batch.
-    ///
-    /// On disconnect the *unsent suffix* is handed back in order — items
-    /// already enqueued stay enqueued (drain-then-close delivers them), so
-    /// `delivered + returned == batch` always holds.
-    pub fn send_batch(&self, items: Vec<T>) -> Result<(), SendError<Vec<T>>> {
-        let mut remaining: VecDeque<T> = items.into();
-        let mut inner = self.shared.queue.lock().expect("channel mutex");
-        loop {
-            if inner.receivers == 0 {
-                return Err(SendError::Disconnected(remaining.into()));
-            }
-            let mut pushed = false;
-            while inner.items.len() < inner.capacity {
-                match remaining.pop_front() {
-                    Some(item) => {
-                        inner.items.push_back(item);
-                        inner.stats.sends += 1;
-                        pushed = true;
-                    }
-                    None => break,
-                }
-            }
-            if pushed {
-                inner.stats.wakeups += 1;
-                self.shared.not_empty.notify_one();
-            }
-            if remaining.is_empty() {
-                return Ok(());
-            }
-            inner.stats.blocked_waits += 1;
-            inner = self.shared.not_full.wait(inner).expect("channel mutex");
-        }
-    }
-
-    /// This channel's contention counters so far.
-    pub fn stats(&self) -> ChannelStats {
-        self.shared.queue.lock().expect("channel mutex").stats
     }
 
     /// Items currently queued (a racy snapshot — only the sender-side can
@@ -303,39 +229,12 @@ impl<T> Receiver<T> {
         let mut inner = self.shared.queue.lock().expect("channel mutex");
         loop {
             if let Some(item) = inner.items.pop_front() {
-                inner.stats.wakeups += 1;
                 self.shared.not_full.notify_one();
                 return Some(item);
             }
             if inner.senders == 0 {
                 return None;
             }
-            inner.stats.blocked_waits += 1;
-            inner = self.shared.not_empty.wait(inner).expect("channel mutex");
-        }
-    }
-
-    /// Receives up to `max` items into `out` (appending), blocking only
-    /// while the channel is both empty and open.  Returns how many items
-    /// were appended; `0` means every sender hung up and the queue is
-    /// drained.  One lock round and one notification serve the whole run —
-    /// the consumer-side half of the per-frame amortization.
-    pub fn recv_many(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let max = max.max(1);
-        let mut inner = self.shared.queue.lock().expect("channel mutex");
-        loop {
-            if !inner.items.is_empty() {
-                let n = inner.items.len().min(max);
-                out.extend(inner.items.drain(..n));
-                inner.stats.wakeups += 1;
-                // A run may free many slots: wake every blocked sender.
-                self.shared.not_full.notify_all();
-                return n;
-            }
-            if inner.senders == 0 {
-                return 0;
-            }
-            inner.stats.blocked_waits += 1;
             inner = self.shared.not_empty.wait(inner).expect("channel mutex");
         }
     }
@@ -350,7 +249,6 @@ impl<T> Receiver<T> {
         let mut inner = self.shared.queue.lock().expect("channel mutex");
         loop {
             if let Some(item) = inner.items.pop_front() {
-                inner.stats.wakeups += 1;
                 self.shared.not_full.notify_one();
                 return Ok(item);
             }
@@ -364,7 +262,6 @@ impl<T> Receiver<T> {
             else {
                 return Err(RecvTimeoutError::Timeout);
             };
-            inner.stats.blocked_waits += 1;
             let (guard, wait) = self
                 .shared
                 .not_empty
@@ -377,11 +274,6 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// This channel's contention counters so far.
-    pub fn stats(&self) -> ChannelStats {
-        self.shared.queue.lock().expect("channel mutex").stats
-    }
-
     /// Receives without blocking, distinguishing an empty channel
     /// ([`TryRecvError::Empty`]) from one whose senders all hung up
     /// ([`TryRecvError::Disconnected`]) — the same drain-then-close order
@@ -390,7 +282,6 @@ impl<T> Receiver<T> {
         let mut inner = self.shared.queue.lock().expect("channel mutex");
         match inner.items.pop_front() {
             Some(item) => {
-                inner.stats.wakeups += 1;
                 self.shared.not_full.notify_one();
                 Ok(item)
             }
@@ -513,49 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn receiver_drop_returns_the_unsent_suffix_of_a_batch() {
-        // The same interleaving sweep against `send_batch`: whatever number
-        // of items the receiver consumes before hanging up, the sender gets
-        // back exactly the unsent suffix — delivered + returned == batch, in
-        // order, in every interleaving.
-        for received_before_drop in 0..8usize {
-            let (tx, rx) = bounded(1);
-            let sender = std::thread::spawn(move || {
-                let mut sent = Vec::new();
-                let mut next = 0usize;
-                loop {
-                    let batch: Vec<usize> = (next..next + 3).collect();
-                    next += 3;
-                    match tx.send_batch(batch) {
-                        Ok(()) => sent.extend(next - 3..next),
-                        Err(SendError::Disconnected(rest)) => {
-                            sent.extend((next - 3..next).take(3 - rest.len()));
-                            return (sent, rest);
-                        }
-                    }
-                }
-            });
-            let mut got = Vec::new();
-            for _ in 0..received_before_drop {
-                match rx.recv() {
-                    Some(item) => got.push(item),
-                    None => break,
-                }
-            }
-            drop(rx);
-            let (sent, rest) = sender.join().expect("sender must not panic");
-            // Conservation: everything sent was either received or is still
-            // queued (lost with the receiver), and the returned suffix picks
-            // up exactly where the accepted prefix stopped.
-            assert_eq!(got, sent[..got.len()].to_vec());
-            if let Some(first_rejected) = rest.first() {
-                assert_eq!(*first_rejected, sent.len());
-            }
-            assert!(rest.len() <= 3);
-        }
-    }
-
-    #[test]
     fn recv_timeout_times_out_then_delivers_then_disconnects() {
         use std::time::Duration;
         let (tx, rx) = bounded(2);
@@ -593,40 +441,5 @@ mod tests {
         drop(rx);
         let err = tx.try_send(4usize).expect_err("receiver is gone");
         assert!(matches!(err, TrySendError::Disconnected(4)));
-    }
-
-    #[test]
-    fn recv_many_drains_in_order_and_respects_max() {
-        let (tx, rx) = bounded(8);
-        tx.send_batch((0..6usize).collect()).unwrap();
-        let mut out = Vec::new();
-        assert_eq!(rx.recv_many(&mut out, 4), 4);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-        drop(tx);
-        // Drain-then-close, then EOF.
-        assert_eq!(rx.recv_many(&mut out, 64), 2);
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(rx.recv_many(&mut out, 64), 0);
-    }
-
-    #[test]
-    fn batch_apis_amortize_sends_and_wakeups() {
-        let (tx, rx) = bounded(64);
-        for i in 0..32usize {
-            tx.send(i).unwrap();
-        }
-        let per_event = tx.stats();
-        assert_eq!(per_event.sends, 32);
-        assert_eq!(per_event.wakeups, 32, "per-event sends wake per event");
-        let (tx, rx2) = bounded(64);
-        drop(rx);
-        tx.send_batch((0..32usize).collect()).unwrap();
-        let batched = tx.stats();
-        assert_eq!(batched.sends, 32, "sends still count items");
-        assert_eq!(batched.wakeups, 1, "one notification serves the batch");
-        assert_eq!(batched.blocked_waits, 0);
-        let mut out = Vec::new();
-        assert_eq!(rx2.recv_many(&mut out, 32), 32);
-        assert_eq!(rx2.stats().wakeups, 2, "one more for the drain");
     }
 }

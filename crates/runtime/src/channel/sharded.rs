@@ -1,10 +1,9 @@
 //! Per-producer, frame-batched rings with a k-way sequence merge.
 //!
-//! The single SPSC [`crate::channel`] pays one lock round and one condvar
-//! notification *per event*; at millions of events per second that traffic
-//! (see [`super::ChannelStats`]) dominates the monitored runtime.  This
-//! module replaces it with the sharded transport of the pipelined ingest
-//! path:
+//! Sending every event through one bounded [`crate::channel`] would pay one
+//! lock round and one condvar notification *per event*; at millions of
+//! events per second that traffic would dominate the monitored runtime.
+//! This module is the sharded transport of the pipelined ingest path:
 //!
 //! * every producer owns a [`FrameSender`] writing into its **own** bounded
 //!   ring, so producers never contend with each other — only with the
@@ -14,9 +13,8 @@
 //!   nothing and pays one channel round trip per *frame*;
 //! * each item carries the producer-assigned global sequence number, and a
 //!   [`FrameMerge`] on the consumer side k-way-merges the per-shard streams
-//!   back into global sequence order — replacing the recorder's per-event
-//!   reorder buffer (a `BTreeMap` insert/remove per event) with an O(k)
-//!   head comparison per *run* of consecutive items;
+//!   back into global sequence order at an O(k) head comparison per *run*
+//!   of consecutive items;
 //! * every frame carries a fingerprint of its sequence run
 //!   (`evlin_sim::zobrist::fold_words`), verified on arrival, so transport
 //!   bugs surface as counted mismatches instead of silent misorderings —
@@ -36,8 +34,7 @@
 //! stats (`delivered + lost == frames + duplicated`, in frames).  The merge
 //! tolerates the resulting per-shard disorder — misordered frames are
 //! counted and emitted by head sequence anyway — and the monitor's
-//! well-formedness filter downstream decides what survives, exactly as on
-//! the per-event faulty path.
+//! well-formedness filter downstream decides what survives.
 
 use crate::channel::{self, Receiver, SendError, Sender};
 use crate::fault::{ChannelFaultStats, FaultPlan, FaultySender};
@@ -332,8 +329,7 @@ struct ShardSource<T> {
 }
 
 /// The consumer half: k-way-merges the per-shard frame streams back into
-/// global sequence order.  Replaces the per-event reorder buffer of the
-/// single-channel path.
+/// global sequence order.
 pub struct FrameMerge<T> {
     shards: Vec<ShardSource<T>>,
     pool: FramePool<T>,

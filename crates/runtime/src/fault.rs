@@ -5,9 +5,10 @@
 //! [`crate::channel`] sender and, driven by a seeded deterministic generator,
 //! loses, duplicates or adjacently reorders items in flight — the classical
 //! transient channel faults of the self-stabilization literature.  Wired
-//! under a streaming [`crate::Recorder`] (see `Recorder::with_faulty_sink`)
-//! it turns the live-monitor feed into a faulty link, so the experiments can
-//! measure how the online checker reacts to a corrupted event stream: a
+//! under each producer ring of the frame transport
+//! ([`crate::channel::sharded`]) it turns the live-monitor feed into a
+//! faulty link that corrupts whole frames, so the experiments can measure
+//! how the online checker reacts to a corrupted event stream: a
 //! violation is *flagged*, and once the stream quiesces past the corrupted
 //! prefix the `t`-linearizability floater machinery *forgives* it.
 //!
@@ -107,8 +108,8 @@ pub struct ChannelFaultStats {
 /// [`crate::channel`] sender.
 ///
 /// The wrapper needs `&mut self` (it carries the generator and the held-back
-/// item); the recorder drives it from inside its own lock, so no second
-/// layer of synchronization is needed.  Dropping the sender flushes a
+/// item); each frame sender owns its link outright, so no second layer of
+/// synchronization is needed.  Dropping the sender flushes a
 /// held-back item before hanging up, so reordering never silently turns
 /// into loss.
 pub struct FaultySender<T: Clone> {

@@ -5,13 +5,10 @@ use crate::channel::sharded::MergeStats;
 use crate::counter::ConcurrentCounter;
 use crate::fault::{ChannelFaultStats, FaultPlan};
 use crate::recorder::{sharded_recorder, Recorder, SinkStats};
-use evlin_checker::monitor::{
-    self, IngestSummary, Monitor, MonitorConfig, MonitorReport, SegmentBatch,
-};
+use evlin_checker::monitor::{self, IngestSummary, MonitorConfig, MonitorReport, SegmentBatch};
 use evlin_history::{Event, History, ObjectId, ObjectUniverse, ProcessId};
 use evlin_spec::{FetchIncrement, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Options for [`run_counter_workload`].
@@ -73,131 +70,56 @@ pub fn run_counter_workload(
     counter: &dyn ConcurrentCounter,
     options: HarnessOptions,
 ) -> CounterRun {
-    let recorder = options.record_history.then(Recorder::new).map(Arc::new);
-    run_workload_with_recorder(counter, options, recorder)
-}
-
-/// The outcome of one *live-monitored* counter workload run: the raw run
-/// statistics plus the online monitor's report and sink counters.
-#[derive(Debug)]
-pub struct MonitoredRun {
-    /// The workload-side statistics (history is `None`: the events streamed
-    /// to the monitor instead of being retained).
-    pub run: CounterRun,
-    /// The online monitor's verdict and counters.
-    pub report: MonitorReport,
-    /// What the streaming recorder delivered to the channel.
-    pub sink: SinkStats,
-    /// Faults injected by the channel, when the run streamed through a
-    /// [`crate::fault::FaultySender`]
-    /// ([`run_counter_workload_monitored_faulty`]); `None` on clean runs.
-    pub channel_faults: Option<ChannelFaultStats>,
-    /// Wall-clock time from workload start until the monitor finished
-    /// checking the last event (≥ `run.elapsed`; the basis for checked-ops/s).
-    pub total_elapsed: Duration,
-}
-
-impl MonitoredRun {
-    /// Completed operations verified per second, end to end (workload +
-    /// online checking overlap).
-    pub fn checked_ops_per_sec(&self) -> f64 {
-        self.report.stats.checked_ops as f64 / self.total_elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-}
-
-/// Runs a counter workload with *live* online checking: a streaming
-/// [`Recorder`] feeds invocation/response events through a bounded SPSC
-/// [`channel`] (capacity `channel_capacity`) into an
-/// [`evlin_checker::monitor::Monitor`] running on its own thread, which
-/// checks quiescent-cut segments and discards them as the run proceeds —
-/// the whole pipeline holds a bounded number of events regardless of
-/// `options.ops_per_thread`.
-///
-/// `options.record_history` is ignored (events always stream; none are
-/// retained).
-pub fn run_counter_workload_monitored(
-    counter: &dyn ConcurrentCounter,
-    options: HarnessOptions,
-    monitor_config: MonitorConfig,
-    channel_capacity: usize,
-) -> MonitoredRun {
-    monitored_run(counter, options, monitor_config, channel_capacity, None)
-}
-
-/// Like [`run_counter_workload_monitored`], but streaming the events through
-/// a seeded transient-fault channel ([`crate::fault::FaultySender`]) that
-/// loses, duplicates or reorders them per `plan` before they reach the
-/// monitor.
-///
-/// This is the runtime half of the fault-injection experiments: the monitor
-/// sees a corrupted stream, so its verdict reflects the *corruption*, not the
-/// counter — a lost or reordered event shows up as a violation (flagged) or
-/// as an ill-formed event the monitor rejects, while conditions with
-/// forgiveness (`t`-linearizability, stabilizes-eventually) absorb a
-/// corrupted prefix.  The injected faults are reported in
-/// [`MonitoredRun::channel_faults`].
-pub fn run_counter_workload_monitored_faulty(
-    counter: &dyn ConcurrentCounter,
-    options: HarnessOptions,
-    monitor_config: MonitorConfig,
-    channel_capacity: usize,
-    plan: FaultPlan,
-) -> MonitoredRun {
-    monitored_run(
-        counter,
-        options,
-        monitor_config,
-        channel_capacity,
-        Some(plan),
-    )
-}
-
-fn monitored_run(
-    counter: &dyn ConcurrentCounter,
-    options: HarnessOptions,
-    monitor_config: MonitorConfig,
-    channel_capacity: usize,
-    plan: Option<FaultPlan>,
-) -> MonitoredRun {
-    let mut universe = ObjectUniverse::new();
-    let object = universe.add_object(FetchIncrement::new());
-    debug_assert_eq!(object, ObjectId(0), "the harness records on ObjectId(0)");
-    let mut monitor = Monitor::new(universe, monitor_config);
-    let (sender, receiver) = channel::bounded(channel_capacity);
-    let recorder = Arc::new(match plan {
-        Some(plan) => Recorder::with_faulty_sink(sender, plan, false),
-        None => Recorder::with_sink(sender, false),
-    });
+    let recorder = options.record_history.then(Recorder::new);
+    let object = ObjectId(0);
+    let start_flag = AtomicBool::new(false);
 
     let started = Instant::now();
-    let consumer = std::thread::spawn(move || {
-        while let Some(event) = receiver.recv() {
-            // On a clean channel the recorder's well-formedness filter makes
-            // errors impossible here; on a faulty one a lost invocation can
-            // orphan its response, which the monitor rejects — that is the
-            // fault surfacing, not a pipeline bug, so the run continues and
-            // the verdict carries the outcome.
-            let _ = monitor.ingest(event);
-        }
-        monitor.finish()
+    let all_responses: Vec<i64> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..options.threads)
+            .map(|t| {
+                let recorder = recorder.as_ref();
+                let start_flag = &start_flag;
+                s.spawn(move || {
+                    // Spin until every thread is ready so the measured
+                    // section is genuinely concurrent.
+                    while !start_flag.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                    let mut local = Vec::with_capacity(options.ops_per_thread);
+                    for _ in 0..options.ops_per_thread {
+                        if let Some(r) = recorder {
+                            r.invoke(ProcessId(t), object, FetchIncrement::fetch_inc());
+                        }
+                        let v = counter.fetch_inc(t);
+                        if let Some(r) = recorder {
+                            r.respond(ProcessId(t), object, Value::from(v));
+                        }
+                        local.push(v);
+                    }
+                    local
+                })
+            })
+            .collect();
+        start_flag.store(true, Ordering::Release);
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("worker thread"))
+            .collect()
     });
-    let run = run_workload_with_recorder(counter, options, Some(Arc::clone(&recorder)));
-    let sink_recorder = Arc::try_unwrap(recorder).expect("all recording threads have joined");
-    let sink = sink_recorder
-        .sink_stats()
-        .expect("streaming recorder has a sink");
-    let channel_faults = sink_recorder.channel_fault_stats();
-    // Dropping the recorder flushes the reorder buffer and hangs up the
-    // channel, letting the monitor thread drain and finish.
-    drop(sink_recorder);
-    let report = consumer.join().expect("monitor thread");
-    let total_elapsed = started.elapsed();
-    MonitoredRun {
-        run,
-        report,
-        sink,
-        channel_faults,
-        total_elapsed,
+    let elapsed = started.elapsed();
+
+    let total_ops = options.threads * options.ops_per_thread;
+    let (duplicate_responses, max_staleness) = summarize_responses(&all_responses);
+
+    CounterRun {
+        history: recorder.map(Recorder::into_history),
+        elapsed,
+        total_ops,
+        throughput: total_ops as f64 / elapsed.as_secs_f64().max(f64::EPSILON),
+        final_total: counter.exact_total(),
+        duplicate_responses,
+        max_staleness,
     }
 }
 
@@ -230,7 +152,7 @@ pub struct PipelinedRun {
     /// The workload-side statistics (history is `None`: events streamed).
     pub run: CounterRun,
     /// The pipelined monitor's verdict and counters — identical to what the
-    /// inline [`Monitor`] reports on the same stream.
+    /// inline [`monitor::Monitor`] reports on the same stream.
     pub report: MonitorReport,
     /// Sink counters summed over every worker shard.
     pub sink: SinkStats,
@@ -271,10 +193,9 @@ enum StageMsg {
 /// per-producer ring), a merge stage k-way-merges the shard streams back
 /// into global sequence order and cuts quiescent segments
 /// ([`monitor::MonitorIngest`]), and a check stage runs the kernel over
-/// closed segments ([`monitor::MonitorCheck`]) — three overlapping stages
-/// instead of one consumer doing per-event channel rounds and checking in
-/// line.  The verdict is identical to [`run_counter_workload_monitored`]'s
-/// on the same stream; the synchronization cost per event is what changes.
+/// closed segments ([`monitor::MonitorCheck`]) — three overlapping stages,
+/// synchronizing once per frame rather than once per event.  The verdict is
+/// identical to the inline [`monitor::Monitor`]'s on the same stream.
 ///
 /// `options.record_history` is ignored (events always stream).
 pub fn run_counter_workload_pipelined(
@@ -290,7 +211,10 @@ pub fn run_counter_workload_pipelined(
 /// frames through a seed-derived transient-fault injector
 /// ([`FaultPlan::for_shard`]) that loses, duplicates or adjacently reorders
 /// whole *frames* before they reach the merge.  The monitor's verdict then
-/// reflects the corruption, exactly as on the per-event faulty path.
+/// reflects the corruption, not the counter: a lost or reordered frame shows
+/// up as a violation (flagged) or as ill-formed events the ingest stage
+/// rejects, while conditions with forgiveness (`t`-linearizability,
+/// stabilizes-eventually) absorb a corrupted prefix.
 pub fn run_counter_workload_pipelined_faulty(
     counter: &dyn ConcurrentCounter,
     options: HarnessOptions,
@@ -402,7 +326,6 @@ fn pipelined_run(
                 all_responses.extend(local);
                 sink.emitted += stats.emitted;
                 sink.dropped_malformed += stats.dropped_malformed;
-                sink.flushed_past_gap += stats.flushed_past_gap;
                 sink.dropped_disconnected += stats.dropped_disconnected;
                 sink.flushed_partial_frames += stats.flushed_partial_frames;
                 sink.disconnected |= stats.disconnected;
@@ -467,68 +390,6 @@ fn summarize_responses(responses: &[i64]) -> (usize, i64) {
         .unwrap_or(0)
         .max(0);
     (duplicate_responses, max_staleness)
-}
-
-/// Shared worker loop of [`run_counter_workload`] and
-/// [`run_counter_workload_monitored`].
-fn run_workload_with_recorder(
-    counter: &dyn ConcurrentCounter,
-    options: HarnessOptions,
-    recorder: Option<Arc<Recorder>>,
-) -> CounterRun {
-    let object = ObjectId(0);
-    let start_flag = AtomicBool::new(false);
-    // Per-thread response logs (always collected; cheap).
-    let responses: Vec<parking_lot::Mutex<Vec<i64>>> = (0..options.threads)
-        .map(|_| parking_lot::Mutex::new(Vec::with_capacity(options.ops_per_thread)))
-        .collect();
-
-    let started = Instant::now();
-    // Scoped threads: panics in workers propagate when the scope joins them.
-    std::thread::scope(|s| {
-        for t in 0..options.threads {
-            let recorder = recorder.clone();
-            let responses = &responses;
-            let start_flag = &start_flag;
-            s.spawn(move || {
-                // Spin until every thread is ready so the measured section is
-                // genuinely concurrent.
-                while !start_flag.load(Ordering::Acquire) {
-                    std::hint::spin_loop();
-                }
-                let mut local = Vec::with_capacity(options.ops_per_thread);
-                for _ in 0..options.ops_per_thread {
-                    if let Some(r) = &recorder {
-                        r.invoke(ProcessId(t), object, FetchIncrement::fetch_inc());
-                    }
-                    let v = counter.fetch_inc(t);
-                    if let Some(r) = &recorder {
-                        r.respond(ProcessId(t), object, Value::from(v));
-                    }
-                    local.push(v);
-                }
-                *responses[t].lock() = local;
-            });
-        }
-        start_flag.store(true, Ordering::Release);
-    });
-    let elapsed = started.elapsed();
-
-    let total_ops = options.threads * options.ops_per_thread;
-    let all_responses: Vec<i64> = responses.into_iter().flat_map(|m| m.into_inner()).collect();
-    let (duplicate_responses, max_staleness) = summarize_responses(&all_responses);
-
-    CounterRun {
-        // The monitored path keeps its own handle on the recorder (to flush
-        // the sink after the run); it retains no events, so `None` is right.
-        history: recorder.and_then(|r| Arc::try_unwrap(r).ok().map(Recorder::into_history)),
-        elapsed,
-        total_ops,
-        throughput: total_ops as f64 / elapsed.as_secs_f64().max(f64::EPSILON),
-        final_total: counter.exact_total(),
-        duplicate_responses,
-        max_staleness,
-    }
 }
 
 #[cfg(test)]
@@ -600,92 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn live_monitor_verifies_linearizable_counters() {
-        use evlin_checker::monitor::MonitorConfig;
-        for counter in [
-            Box::new(CasCounter::new()) as Box<dyn crate::counter::ConcurrentCounter>,
-            Box::new(FetchAddCounter::new()),
-        ] {
-            let out = run_counter_workload_monitored(
-                counter.as_ref(),
-                options(4, 300, true),
-                MonitorConfig::default(),
-                1024,
-            );
-            assert!(
-                out.report.verdict.is_ok(),
-                "{}: {:?}",
-                counter.name(),
-                out.report
-            );
-            assert_eq!(out.report.stats.checked_ops, 1200);
-            assert_eq!(out.sink.emitted, 2400);
-            assert_eq!(out.sink.dropped_malformed, 0);
-            assert!(!out.sink.disconnected);
-            assert!(out.run.history.is_none(), "events stream, not buffer");
-            assert!(out.checked_ops_per_sec() > 0.0);
-            // Online checking is windowed: the peak resident event count
-            // stays far below the full history length.
-            assert!(out.report.stats.peak_window_events < 2400);
-        }
-    }
-
-    #[test]
-    fn faulty_channel_run_completes_and_reports_fault_stats() {
-        use evlin_checker::monitor::MonitorConfig;
-        let counter = FetchAddCounter::new();
-        let out = run_counter_workload_monitored_faulty(
-            &counter,
-            options(2, 200, true),
-            MonitorConfig::default(),
-            256,
-            FaultPlan {
-                seed: 2014,
-                lose: 64,
-                duplicate: 64,
-                reorder: 64,
-            },
-        );
-        // The pipeline must terminate (no hang, no panic) whatever the
-        // verdict — the corrupted stream may be flagged as a violation,
-        // rejected event by event, or even still pass; all are legitimate
-        // monitor reactions to channel faults.
-        let faults = out.channel_faults.expect("a faulty run reports faults");
-        assert!(
-            faults.lost + faults.duplicated + faults.reordered > 0,
-            "the seeded plan injects something over 800 events: {faults:?}"
-        );
-        // Conservation: every emitted event was either delivered or lost,
-        // and each duplication delivered one extra copy.
-        assert_eq!(
-            faults.delivered + faults.lost,
-            out.sink.emitted + faults.duplicated
-        );
-        // The workload side is untouched by channel faults.
-        assert_eq!(out.run.total_ops, 400);
-        assert_eq!(out.run.final_total, 400);
-        assert!(out.run.responses_distinct());
-    }
-
-    #[test]
-    fn transparent_fault_plan_matches_the_clean_monitored_path() {
-        use evlin_checker::monitor::MonitorConfig;
-        let counter = CasCounter::new();
-        let out = run_counter_workload_monitored_faulty(
-            &counter,
-            options(2, 150, true),
-            MonitorConfig::default(),
-            256,
-            FaultPlan::transparent(1),
-        );
-        assert!(out.report.verdict.is_ok(), "{:?}", out.report);
-        assert_eq!(out.report.stats.checked_ops, 300);
-        let faults = out.channel_faults.expect("still a faulty-sink run");
-        assert_eq!(faults.lost + faults.duplicated + faults.reordered, 0);
-        assert_eq!(faults.delivered, out.sink.emitted);
-    }
-
-    #[test]
     fn pipelined_monitor_verifies_linearizable_counters() {
         use evlin_checker::monitor::MonitorConfig;
         for counter in [
@@ -721,10 +496,10 @@ mod tests {
             assert!(out.run.history.is_none(), "events stream, not buffer");
             assert!(out.checked_ops_per_sec() > 0.0);
             assert!(out.events_per_sec() > out.checked_ops_per_sec());
-            // Unlike the mutex-serialized single-channel recorder, sharded
-            // recording lets the workers interleave densely, so a run may
-            // exhibit no mid-stream quiescent point at all — the window can
-            // legitimately reach the full stream length, never beyond.
+            // Sharded recording lets the workers interleave densely, so a
+            // run may exhibit no mid-stream quiescent point at all — the
+            // window can legitimately reach the full stream length, never
+            // beyond.
             assert!(out.report.stats.peak_window_events <= 2400);
         }
     }
@@ -764,6 +539,13 @@ mod tests {
         // Fault injection moves whole frames but never rewrites them.
         assert_eq!(out.merge.fingerprint_mismatches, 0);
         assert!(out.merge.events <= out.sink.emitted + 4 * faults.duplicated);
+        // Conservation, in frames: every full frame a shard shipped reached
+        // the merge unless lost, and each duplication delivered one extra
+        // copy.  (Each shard's 800 events fill exactly 200 frames of 4.)
+        assert_eq!(
+            out.merge.frames + faults.lost,
+            out.sink.emitted / 4 + faults.duplicated
+        );
     }
 
     #[test]
@@ -781,14 +563,17 @@ mod tests {
         assert_eq!(out.report.stats.checked_ops, 300);
         let faults = out.channel_faults.expect("still a faulty-sink run");
         assert_eq!(faults.lost + faults.duplicated + faults.reordered, 0);
+        assert_eq!(faults.delivered, out.merge.frames);
         assert_eq!(out.merge.events, 600);
     }
 
     #[test]
     fn pipelined_monitor_flags_the_stale_sharded_counter_or_verifies_it() {
         use evlin_checker::monitor::{MonitorConfig, MonitorVerdict};
-        // Mirror of the single-channel staleness test: duplicates must be
-        // flagged, a genuinely serialized run may pass, Unknown never.
+        // Under contention the sharded counter repeats responses, which the
+        // online monitor must flag; a perfectly serialized run (possible on
+        // a quiet machine) is genuinely linearizable, so accept both — what
+        // is *not* acceptable is an Unknown.
         let counter = ShardedCounter::new(4, 16);
         let out = run_counter_workload_pipelined(
             &counter,
@@ -798,28 +583,6 @@ mod tests {
                 frame_capacity: 64,
                 ring_frames: 4,
             },
-        );
-        let duplicates = out.run.duplicate_responses;
-        match out.report.verdict {
-            MonitorVerdict::Ok => assert_eq!(duplicates, 0, "stale run must be flagged"),
-            MonitorVerdict::Violation(_) => assert!(duplicates > 0),
-            MonitorVerdict::Unknown => panic!("monitor gave up: {:?}", out.report),
-        }
-    }
-
-    #[test]
-    fn live_monitor_flags_the_stale_sharded_counter_or_verifies_it() {
-        use evlin_checker::monitor::{MonitorConfig, MonitorVerdict};
-        // Under contention the sharded counter repeats responses, which the
-        // online monitor must flag; a perfectly serialized run (possible on
-        // a quiet machine) is genuinely linearizable, so accept both — what
-        // is *not* acceptable is an Unknown.
-        let counter = ShardedCounter::new(4, 16);
-        let out = run_counter_workload_monitored(
-            &counter,
-            options(4, 500, true),
-            MonitorConfig::default(),
-            1024,
         );
         let duplicates = out.run.duplicate_responses;
         match out.report.verdict {

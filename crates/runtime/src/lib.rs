@@ -19,45 +19,37 @@
 //! [`recorder::Recorder`] timestamps invocation and response events with a
 //! global atomic sequence number so that the histories produced by real
 //! threads can be checked offline with `evlin-checker` (the specialized
-//! fetch&increment checker handles hundreds of thousands of operations) —
-//! or *online*: a streaming recorder ([`Recorder::with_sink`]) feeds the
-//! events, in sequence order, through a bounded SPSC [`channel`] into the
-//! incremental monitor (`evlin_checker::monitor`), which verifies the run
-//! *while it executes* with memory bounded by the concurrency window.
-//! [`harness`] ties it together: spawn threads, run a workload, collect the
-//! history and throughput statistics ([`harness::run_counter_workload`]), or
-//! check the stream live ([`harness::run_counter_workload_monitored`], used
-//! by experiment E11 and the `monitor_throughput` bench).
+//! fetch&increment checker handles hundreds of thousands of operations);
+//! [`harness::run_counter_workload`] spawns the threads, runs a workload
+//! and collects the history and throughput statistics.
 //!
-//! For the fault-injection experiments, [`fault::FaultySender`] turns the
-//! monitor feed into a seeded lossy/duplicating/reordering link
-//! ([`Recorder::with_faulty_sink`],
-//! [`harness::run_counter_workload_monitored_faulty`]), so the online
-//! checker's reaction to transient *transport* faults can be measured
-//! alongside the simulator's transient *state* faults.
+//! ## Online checking: the pipelined path
 //!
-//! ## The pipelined path
-//!
-//! The single channel pays one lock round and one condvar notification per
-//! event, which caps end-to-end checked throughput far below what the
-//! monitor kernel can sustain.  The *sharded, frame-batched, pipelined*
-//! dataflow removes that cap:
+//! The same runs can be checked *while they execute*, with memory bounded
+//! by the concurrency window, by the *sharded, frame-batched, pipelined*
+//! dataflow:
 //!
 //! * each worker thread records into its own [`recorder::RecorderShard`],
 //!   which batches sequence-stamped events into pooled frames and ships
-//!   them over a per-producer bounded ring ([`channel::sharded`]);
+//!   them over a per-producer bounded ring ([`channel::sharded`]), so the
+//!   synchronization cost is paid per frame, not per event;
 //! * a k-way [`channel::sharded::FrameMerge`] restores global sequence
-//!   order at O(k) per run of consecutive items, replacing the per-event
-//!   reorder buffer;
+//!   order at O(k) per run of consecutive items;
 //! * the monitor is split into overlapping stages
 //!   (`evlin_checker::monitor::stages`): the merge thread cuts quiescent
 //!   segments while a check thread runs the kernel over closed segments.
 //!
-//! [`harness::run_counter_workload_pipelined`] (and its frame-fault twin
-//! [`harness::run_counter_workload_pipelined_faulty`]) wires the three
-//! stages up; its verdicts are bit-identical to the single-channel path's —
+//! [`harness::run_counter_workload_pipelined`] wires the three stages up
+//! (used by experiments E11 and E16 and the `monitor_throughput` bench); its
+//! verdicts are bit-identical to the inline monitor's —
 //! `tests/pipeline_differential.rs` proves that against the offline kernel
 //! for 1/2/8 producers, with and without frame faults.
+//!
+//! For the fault-injection experiments, [`fault::FaultySender`] turns each
+//! producer ring into a seeded lossy/duplicating/reordering link
+//! ([`harness::run_counter_workload_pipelined_faulty`]), so the online
+//! checker's reaction to transient *transport* faults can be measured
+//! alongside the simulator's transient *state* faults.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -70,12 +62,11 @@ pub mod harness;
 pub mod recorder;
 
 pub use channel::sharded::{Frame, FrameMerge, FrameSender, MergeStats};
-pub use channel::{ChannelStats, TrySendError};
+pub use channel::TrySendError;
 pub use counter::{CasCounter, ConcurrentCounter, FetchAddCounter, ShardedCounter};
 pub use fault::{ChannelFaultStats, FaultPlan, FaultySender};
 pub use harness::{
-    run_counter_workload, run_counter_workload_monitored, run_counter_workload_monitored_faulty,
-    run_counter_workload_pipelined, run_counter_workload_pipelined_faulty, CounterRun,
-    HarnessOptions, MonitoredRun, PipelineOptions, PipelinedRun,
+    run_counter_workload, run_counter_workload_pipelined, run_counter_workload_pipelined_faulty,
+    CounterRun, HarnessOptions, PipelineOptions, PipelinedRun,
 };
 pub use recorder::{sharded_recorder, EventSink, Recorder, RecorderShard, SinkStats};

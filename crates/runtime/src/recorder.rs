@@ -1,17 +1,16 @@
 //! Recording histories from real threads.
 
 use crate::channel::sharded::{self, FrameMerge, FrameSender};
-use crate::channel::{SendError, Sender};
-use crate::fault::{ChannelFaultStats, FaultPlan, FaultySender};
+use crate::fault::{ChannelFaultStats, FaultPlan};
 use evlin_history::{Event, EventKind, History, ObjectId, ProcessId};
 use evlin_spec::{Invocation, Value};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A concurrent event recorder.
+/// A concurrent event recorder: the offline history recorder behind
+/// [`crate::harness::run_counter_workload`].
 ///
 /// Threads call [`Recorder::invoke`] right before starting an operation and
 /// [`Recorder::respond`] right after obtaining its response.  Events receive
@@ -21,202 +20,34 @@ use std::sync::Arc;
 ///
 /// Recording costs one atomic increment plus one short critical section per
 /// event; the experiments that measure raw throughput therefore also support
-/// running with recording disabled.
-///
-/// ## Streaming
-///
-/// A recorder built with [`Recorder::with_sink`] additionally *streams* the
-/// events, in sequence order, into a bounded [`crate::channel`] — the feed of
-/// the online monitor (`evlin_checker::monitor`).  Because a thread obtains
-/// its sequence number before it appends the event, events can reach the
-/// recorder slightly out of order; a small reorder buffer holds back events
-/// until their predecessors have arrived, so the consumer always sees the
-/// true sequence order.
-///
-/// On early shutdown (drop, or [`Recorder::into_history`] while operations
-/// are still in flight) the reorder buffer is flushed: held-back events are
-/// emitted in sequence order, skipping unfillable gaps, and filtered so the
-/// emitted stream stays *well-formed* — an operation whose response never
-/// arrived appears as a pending invocation that the checkers treat as
-/// pending, rather than being silently truncated or leaving an orphan
-/// response behind.
+/// running with recording disabled.  Live checking streams through
+/// [`RecorderShard`]s instead (see [`sharded_recorder`]).
 pub struct Recorder {
     next: AtomicUsize,
-    inner: Mutex<Inner>,
+    /// `(seq, event)` pairs in arrival order, sorted on extraction.
+    retained: Mutex<Vec<(usize, Event)>>,
 }
 
-struct Inner {
-    /// `(seq, event)` pairs kept for [`Recorder::into_history`] /
-    /// [`Recorder::snapshot`]; disabled for pure streaming so memory stays
-    /// bounded on arbitrarily long runs.
-    retained: Vec<(usize, Event)>,
-    retain: bool,
-    stream: Option<StreamState>,
-}
-
-/// Counters describing what a streaming recorder delivered to its sink.
+/// Counters describing what a [`RecorderShard`] delivered to its sink.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinkStats {
     /// Events delivered to the sink.
     pub emitted: usize,
     /// Events dropped because emitting them would have made the stream
-    /// ill-formed (orphan responses after a lost invocation, double
-    /// invocations by a misbehaving caller).
+    /// ill-formed (orphan responses, double invocations by a misbehaving
+    /// caller).
     pub dropped_malformed: usize,
-    /// Events flushed past an unfillable sequence gap on shutdown, plus
-    /// events that arrived only after a flush had already walked past their
-    /// sequence number (emitted late rather than stranded).
-    pub flushed_past_gap: usize,
     /// Whether the sink hung up before the stream ended.
     pub disconnected: bool,
     /// Events swallowed because the sink had already hung up.  A hang-up can
-    /// race the drop-time flush, so delivery failures there are *counted*
+    /// race the closing flush, so delivery failures there are *counted*
     /// rather than panicking inside `Drop`.
     pub dropped_disconnected: usize,
-    /// Frames shipped below capacity by the frame-batched path
-    /// ([`RecorderShard`]): the stream tail (and explicit flushes) must
-    /// reach the sink *before* the disconnect-swallowing path runs, and this
-    /// counter proves the partial flush happened instead of a silent
-    /// truncation.  Always 0 on the per-event path.
+    /// Frames shipped below capacity: the stream tail (and explicit flushes)
+    /// must reach the sink *before* the disconnect-swallowing path runs, and
+    /// this counter proves the partial flush happened instead of a silent
+    /// truncation.
     pub flushed_partial_frames: usize,
-}
-
-/// The recorder's downstream link: the bounded channel sender, either bare
-/// or behind the transient-fault injector of [`crate::fault`].
-enum Sink {
-    Clean(Sender<Event>),
-    Faulty(FaultySender<Event>),
-}
-
-impl Sink {
-    fn send(&mut self, event: Event) -> Result<(), SendError<Event>> {
-        match self {
-            Sink::Clean(sender) => sender.send(event),
-            Sink::Faulty(faulty) => faulty.send(event),
-        }
-    }
-
-    /// Pushes a held-back (reordered) event through; a no-op for clean links.
-    fn flush(&mut self) {
-        if let Sink::Faulty(faulty) = self {
-            let _ = faulty.flush();
-        }
-    }
-
-    fn fault_stats(&self) -> Option<ChannelFaultStats> {
-        match self {
-            Sink::Clean(_) => None,
-            Sink::Faulty(faulty) => Some(faulty.stats()),
-        }
-    }
-}
-
-struct StreamState {
-    sender: Option<Sink>,
-    /// The next sequence number to emit.
-    next_emit: usize,
-    /// Events that arrived ahead of a missing predecessor.
-    reorder: BTreeMap<usize, Event>,
-    /// Per-process pending-operation tracking, to keep the emitted stream
-    /// well-formed across flushes.
-    pending: BTreeMap<ProcessId, ObjectId>,
-    stats: SinkStats,
-}
-
-impl StreamState {
-    fn new(sender: Sink) -> Self {
-        StreamState {
-            sender: Some(sender),
-            next_emit: 0,
-            reorder: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            stats: SinkStats::default(),
-        }
-    }
-
-    /// Offers one event; emits it (and any events it unblocks) if the stream
-    /// has caught up to its sequence number.
-    fn offer(&mut self, seq: usize, event: Event) {
-        if seq < self.next_emit {
-            // A flush already walked past this sequence number (the
-            // recording thread was descheduled between reserving the number
-            // and appending the event).  Emit it late through the
-            // well-formedness filter rather than stranding it in the
-            // reorder buffer forever.
-            self.stats.flushed_past_gap += 1;
-            self.emit(event);
-            return;
-        }
-        self.reorder.insert(seq, event);
-        while let Some(event) = self.reorder.remove(&self.next_emit) {
-            self.next_emit += 1;
-            self.emit(event);
-        }
-    }
-
-    /// Emits one event through the well-formedness filter.
-    fn emit(&mut self, event: Event) {
-        match &event.kind {
-            EventKind::Invoke(_) => {
-                if self.pending.contains_key(&event.process) {
-                    self.stats.dropped_malformed += 1;
-                    return;
-                }
-                self.pending.insert(event.process, event.object);
-            }
-            EventKind::Respond(_) => match self.pending.get(&event.process) {
-                Some(object) if *object == event.object => {
-                    self.pending.remove(&event.process);
-                }
-                _ => {
-                    self.stats.dropped_malformed += 1;
-                    return;
-                }
-            },
-        }
-        if let Some(sender) = &mut self.sender {
-            if sender.send(event).is_ok() {
-                self.stats.emitted += 1;
-            } else {
-                self.stats.disconnected = true;
-                self.stats.dropped_disconnected += 1;
-                self.sender = None;
-            }
-        } else {
-            // The sink hung up earlier; later events (including the
-            // drop-time flush of the reorder buffer) are swallowed and
-            // counted, never panicked on.
-            self.stats.dropped_disconnected += 1;
-        }
-    }
-
-    /// Emits everything still held back, in sequence order, skipping gaps
-    /// that can no longer be filled.  Open operations come out as pending
-    /// invocations; responses orphaned by a gap are dropped by the
-    /// well-formedness filter.
-    fn flush(&mut self) {
-        let held = std::mem::take(&mut self.reorder);
-        for (seq, event) in held {
-            if seq >= self.next_emit {
-                if seq > self.next_emit {
-                    self.stats.flushed_past_gap += 1;
-                }
-                self.next_emit = seq + 1;
-                self.emit(event);
-            }
-        }
-        if let Some(sender) = &mut self.sender {
-            sender.flush();
-        }
-    }
-}
-
-impl Drop for StreamState {
-    fn drop(&mut self) {
-        // Dropping the recorder mid-run must still hand the tail to the
-        // sink (and then hang up by dropping the sender).
-        self.flush();
-    }
 }
 
 impl Default for Recorder {
@@ -227,81 +58,24 @@ impl Default for Recorder {
 
 impl fmt::Debug for Recorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("Recorder")
-            .field("events", &inner.retained.len())
-            .field("streaming", &inner.stream.is_some())
+            .field("events", &self.retained.lock().len())
             .finish()
     }
 }
 
 impl Recorder {
-    /// Creates an empty recorder that retains every event for
-    /// [`Recorder::into_history`].
+    /// Creates an empty recorder.
     pub fn new() -> Self {
         Recorder {
             next: AtomicUsize::new(0),
-            inner: Mutex::new(Inner {
-                retained: Vec::new(),
-                retain: true,
-                stream: None,
-            }),
+            retained: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Creates a recorder that streams events, in sequence order, into
-    /// `sink`.  With `retain_events` set the events are additionally kept
-    /// for [`Recorder::into_history`]; without it, memory stays bounded by
-    /// the reorder window no matter how long the run is.
-    pub fn with_sink(sink: Sender<Event>, retain_events: bool) -> Self {
-        Recorder {
-            next: AtomicUsize::new(0),
-            inner: Mutex::new(Inner {
-                retained: Vec::new(),
-                retain: retain_events,
-                stream: Some(StreamState::new(Sink::Clean(sink))),
-            }),
-        }
-    }
-
-    /// Like [`Recorder::with_sink`], but streaming through a transient-fault
-    /// channel ([`crate::fault::FaultySender`]) that loses, duplicates or
-    /// reorders events per the seeded `plan` — the feed of the
-    /// fault-injection experiments, where the online monitor must flag a
-    /// corrupted stream and forgive a corrupted-but-quiesced prefix.
-    pub fn with_faulty_sink(sink: Sender<Event>, plan: FaultPlan, retain_events: bool) -> Self {
-        Recorder {
-            next: AtomicUsize::new(0),
-            inner: Mutex::new(Inner {
-                retained: Vec::new(),
-                retain: retain_events,
-                stream: Some(StreamState::new(Sink::Faulty(FaultySender::new(
-                    sink, plan,
-                )))),
-            }),
-        }
-    }
-
-    /// Counters of the faults the sink's channel injected, if this recorder
-    /// streams through a faulty sink ([`Recorder::with_faulty_sink`]).
-    pub fn channel_fault_stats(&self) -> Option<ChannelFaultStats> {
-        self.inner
-            .lock()
-            .stream
-            .as_ref()
-            .and_then(|s| s.sender.as_ref())
-            .and_then(|sink| sink.fault_stats())
     }
 
     fn record(&self, event: Event) {
         let seq = self.next.fetch_add(1, Ordering::SeqCst);
-        let mut inner = self.inner.lock();
-        if inner.retain {
-            inner.retained.push((seq, event.clone()));
-        }
-        if let Some(stream) = &mut inner.stream {
-            stream.offer(seq, event);
-        }
+        self.retained.lock().push((seq, event));
     }
 
     /// Records an invocation event by `process` on `object`.
@@ -324,42 +98,20 @@ impl Recorder {
         self.len() == 0
     }
 
-    /// Flushes the streaming sink: held-back events are emitted in sequence
-    /// order past any unfillable gap, keeping the emitted stream well-formed.
-    /// A no-op for non-streaming recorders.
-    pub fn flush_sink(&self) {
-        if let Some(stream) = &mut self.inner.lock().stream {
-            stream.flush();
-        }
-    }
-
-    /// Counters of the streaming sink, if this recorder has one.
-    pub fn sink_stats(&self) -> Option<SinkStats> {
-        self.inner.lock().stream.as_ref().map(|s| s.stats)
-    }
-
     /// Extracts the recorded history, ordered by sequence number.
-    ///
-    /// For a streaming recorder this also flushes the sink and hangs up
-    /// (open operations reach the sink as pending invocations first).  A
-    /// streaming recorder built without `retain_events` returns an empty
-    /// history — the events went to the sink instead.
     pub fn into_history(self) -> History {
-        let inner = self.inner.into_inner();
-        // Dropping the stream state flushes the tail into the sink and then
-        // drops the sender, closing the channel.
-        drop(inner.stream);
-        let mut events = inner.retained;
-        events.sort_by_key(|(seq, _)| *seq);
-        History::from_events(events.into_iter().map(|(_, e)| e).collect())
+        sorted_history(self.retained.into_inner())
     }
 
     /// Clones the recorded history without consuming the recorder.
     pub fn snapshot(&self) -> History {
-        let mut events = self.inner.lock().retained.clone();
-        events.sort_by_key(|(seq, _)| *seq);
-        History::from_events(events.into_iter().map(|(_, e)| e).collect())
+        sorted_history(self.retained.lock().clone())
     }
+}
+
+fn sorted_history(mut events: Vec<(usize, Event)>) -> History {
+    events.sort_by_key(|(seq, _)| *seq);
+    History::from_events(events.into_iter().map(|(_, e)| e).collect())
 }
 
 /// A destination for sequence-stamped events — the seam between recording
@@ -392,13 +144,12 @@ impl EventSink for FrameSender<Event> {
 /// One producer's handle of a sharded, frame-batched recorder
 /// (see [`sharded_recorder`]).
 ///
-/// Where [`Recorder`] funnels every event through one mutex and one
-/// per-event channel send, a shard is owned by exactly one recording thread:
-/// recording is a shared atomic sequence fetch plus a local vector push, and
-/// the channel is touched once per *frame*.  The shard runs its own
-/// well-formedness filter (the same rules as the streaming recorder's) and
-/// filters *before* allocating a sequence number, so a clean shard stream
-/// has no gaps and the merge's output needs no gap-skipping pass.
+/// A shard is owned by exactly one recording thread: recording is a shared
+/// atomic sequence fetch plus a local vector push, and the channel is
+/// touched once per *frame*.  The shard runs a well-formedness filter (no
+/// double invocations, no orphan responses) and filters *before* allocating
+/// a sequence number, so a clean shard stream has no gaps and the merge's
+/// output needs no gap-skipping pass.
 ///
 /// The shard is generic over its [`EventSink`] (defaulting to the in-process
 /// [`FrameSender`]); `evlin-service` plugs its wire-encoding client sink in
@@ -504,7 +255,6 @@ impl RecorderShard<FrameSender<Event>> {
         SinkStats {
             emitted: s.events_sent,
             dropped_malformed: self.dropped_malformed,
-            flushed_past_gap: 0,
             disconnected: s.disconnected,
             dropped_disconnected: s.dropped_disconnected,
             flushed_partial_frames: s.partial_frames,
@@ -514,11 +264,10 @@ impl RecorderShard<FrameSender<Event>> {
 
 /// Builds a sharded, frame-batched recording pipeline: one [`RecorderShard`]
 /// per producer thread, a shared global sequence counter, and the k-way
-/// [`FrameMerge`] whose `recv_sorted` output is the same
-/// sequence-ordered event stream the single-channel [`Recorder`] delivers —
-/// at a per-frame instead of per-event synchronization cost.  With a `plan`,
-/// every shard streams through its own seed-derived frame-level fault
-/// injector ([`FaultPlan::for_shard`]).
+/// [`FrameMerge`] whose `recv_sorted` output is the global,
+/// sequence-ordered event stream, at a per-frame synchronization cost.  With
+/// a `plan`, every shard streams through its own seed-derived frame-level
+/// fault injector ([`FaultPlan::for_shard`]).
 pub fn sharded_recorder(
     producers: usize,
     frame_capacity: usize,
@@ -542,7 +291,6 @@ pub fn sharded_recorder(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel;
     use evlin_spec::FetchIncrement;
     use std::sync::Arc;
 
@@ -600,151 +348,6 @@ mod tests {
         let r = Recorder::new();
         assert!(r.is_empty());
         assert!(r.into_history().is_empty());
-    }
-
-    #[test]
-    fn streaming_delivers_events_in_sequence_order() {
-        let (tx, rx) = channel::bounded(8);
-        let o = ObjectId(0);
-        let consumer = std::thread::spawn(move || {
-            let mut events = Vec::new();
-            while let Some(e) = rx.recv() {
-                events.push(e);
-            }
-            events
-        });
-        {
-            let r = Arc::new(Recorder::with_sink(tx, true));
-            std::thread::scope(|s| {
-                for t in 0..4usize {
-                    let r = Arc::clone(&r);
-                    s.spawn(move || {
-                        for k in 0..25i64 {
-                            r.invoke(ProcessId(t), o, FetchIncrement::fetch_inc());
-                            r.respond(ProcessId(t), o, Value::from(k));
-                        }
-                    });
-                }
-            });
-            let retained = Arc::try_unwrap(r).expect("joined").into_history();
-            assert_eq!(retained.len(), 200);
-        }
-        let streamed = History::from_events(consumer.join().expect("consumer"));
-        assert_eq!(streamed.len(), 200);
-        assert!(streamed.is_well_formed());
-    }
-
-    #[test]
-    fn drop_flushes_pending_tail_as_well_formed_open_operations() {
-        let (tx, rx) = channel::bounded(8);
-        let o = ObjectId(0);
-        let r = Recorder::with_sink(tx, false);
-        r.invoke(ProcessId(0), o, FetchIncrement::fetch_inc());
-        r.respond(ProcessId(0), o, Value::from(0i64));
-        // An operation still in flight when the recorder dies...
-        r.invoke(ProcessId(1), o, FetchIncrement::fetch_inc());
-        let stats = r.sink_stats().expect("streaming");
-        drop(r); // early shutdown: flush + hang up
-        let streamed: Vec<Event> = std::iter::from_fn(|| rx.recv()).collect();
-        let h = History::from_events(streamed);
-        // ...reaches the sink as a *pending* invocation, not a truncation.
-        assert!(h.is_well_formed());
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.pending_operations().len(), 1);
-        assert_eq!(stats.dropped_malformed, 0);
-    }
-
-    #[test]
-    fn flush_skips_gaps_but_never_emits_orphan_responses() {
-        let (tx, rx) = channel::bounded(16);
-        let o = ObjectId(0);
-        let r = Recorder::with_sink(tx, false);
-        // Simulate a lost event: burn sequence number 0 so every real event
-        // is held back behind the gap...
-        r.next.fetch_add(1, Ordering::SeqCst);
-        r.invoke(ProcessId(0), o, FetchIncrement::fetch_inc());
-        r.respond(ProcessId(0), o, Value::from(0i64));
-        assert_eq!(r.sink_stats().expect("streaming").emitted, 0);
-        // ...until the flush walks past it and emits the well-formed tail.
-        r.flush_sink();
-        let stats = r.sink_stats().expect("streaming");
-        assert_eq!(stats.emitted, 2);
-        assert!(stats.flushed_past_gap > 0);
-        drop(r);
-        let h = History::from_events(std::iter::from_fn(|| rx.recv()).collect());
-        assert!(h.is_well_formed());
-        assert_eq!(h.complete_operations().len(), 1);
-    }
-
-    #[test]
-    fn late_event_after_flush_is_emitted_not_stranded() {
-        let (tx, rx) = channel::bounded(8);
-        let o = ObjectId(0);
-        let r = Recorder::with_sink(tx, false);
-        // Sequence number 0 is reserved but its event is delayed (the
-        // recording thread was descheduled mid-`record`)...
-        r.next.fetch_add(1, Ordering::SeqCst);
-        // ...a complete operation queues up behind the gap and a flush walks
-        // past it...
-        r.invoke(ProcessId(1), o, FetchIncrement::fetch_inc());
-        r.respond(ProcessId(1), o, Value::from(1i64));
-        r.flush_sink();
-        assert_eq!(r.sink_stats().unwrap().emitted, 2);
-        // ...and when the delayed event finally lands it is emitted late
-        // (well-formedness preserved), not silently discarded.
-        r.inner.lock().stream.as_mut().unwrap().offer(
-            0,
-            Event::invoke(ProcessId(0), o, FetchIncrement::fetch_inc()),
-        );
-        let stats = r.sink_stats().unwrap();
-        assert_eq!(stats.emitted, 3);
-        assert_eq!(stats.dropped_malformed, 0);
-        drop(r);
-        let h = History::from_events(std::iter::from_fn(|| rx.recv()).collect());
-        assert!(h.is_well_formed());
-        assert_eq!(h.complete_operations().len(), 1);
-        assert_eq!(h.pending_operations().len(), 1);
-    }
-
-    #[test]
-    fn orphan_response_after_lost_invoke_is_dropped() {
-        let (tx, rx) = bounded_pair();
-        let o = ObjectId(0);
-        let r = Recorder::with_sink(tx, false);
-        // The invocation's sequence number is burned (thread died between
-        // reserving the number and appending the event)...
-        r.next.fetch_add(1, Ordering::SeqCst);
-        // ...but its response still arrives.
-        r.respond(ProcessId(0), o, Value::from(0i64));
-        drop(r);
-        let streamed: Vec<Event> = std::iter::from_fn(|| rx.recv()).collect();
-        assert!(streamed.is_empty(), "orphan response must be dropped");
-    }
-
-    fn bounded_pair() -> (Sender<Event>, crate::channel::Receiver<Event>) {
-        channel::bounded(8)
-    }
-
-    #[test]
-    fn hung_up_sink_is_swallowed_and_counted_not_panicked() {
-        let (tx, rx) = channel::bounded(8);
-        let o = ObjectId(0);
-        let r = Recorder::with_sink(tx, false);
-        r.invoke(ProcessId(0), o, FetchIncrement::fetch_inc());
-        r.respond(ProcessId(0), o, Value::from(0i64));
-        drop(rx); // the monitor died mid-run
-                  // The next emit observes the hang-up...
-        r.invoke(ProcessId(1), o, FetchIncrement::fetch_inc());
-        // ...and an event held back behind a sequence gap is flushed into
-        // the dead sink without panicking, counted in the stats.
-        r.next.fetch_add(1, Ordering::SeqCst);
-        r.invoke(ProcessId(2), o, FetchIncrement::fetch_inc());
-        r.flush_sink();
-        let stats = r.sink_stats().expect("streaming");
-        assert_eq!(stats.emitted, 2);
-        assert!(stats.disconnected);
-        assert_eq!(stats.dropped_disconnected, 2);
-        drop(r); // the drop-time flush on a dead sink is a quiet no-op
     }
 
     #[test]
@@ -842,14 +445,23 @@ mod tests {
     }
 
     #[test]
-    fn streaming_without_retention_keeps_into_history_empty() {
-        let (tx, rx) = channel::bounded(8);
+    fn shard_finish_ships_an_open_operation_as_a_pending_invocation() {
+        let (mut shards, mut merge) = sharded_recorder(1, 64, 4, None);
+        let mut shard = shards.pop().unwrap();
         let o = ObjectId(0);
-        let r = Recorder::with_sink(tx, false);
-        r.invoke(ProcessId(0), o, FetchIncrement::fetch_inc());
-        r.respond(ProcessId(0), o, Value::from(0i64));
-        assert_eq!(r.len(), 2);
-        assert!(r.into_history().is_empty());
-        assert_eq!(std::iter::from_fn(|| rx.recv()).count(), 2);
+        shard.invoke(ProcessId(0), o, FetchIncrement::fetch_inc());
+        shard.respond(ProcessId(0), o, Value::from(0i64));
+        // An operation still in flight when the shard closes...
+        shard.invoke(ProcessId(1), o, FetchIncrement::fetch_inc());
+        let stats = shard.finish();
+        assert_eq!(stats.emitted, 3);
+        assert_eq!(stats.dropped_malformed, 0);
+        let mut out = Vec::new();
+        while merge.recv_sorted(&mut out, 16) > 0 {}
+        // ...reaches the merge as a *pending* invocation, not a truncation.
+        let h = History::from_events(out.into_iter().map(|(_, e)| e).collect());
+        assert!(h.is_well_formed());
+        assert_eq!(h.len(), 3);
+        assert_eq!(h.pending_operations().len(), 1);
     }
 }

@@ -438,7 +438,7 @@ impl Config {
     }
 
     /// A structural fingerprint of the configuration, used by deduplicating
-    /// exploration ([`crate::explorer::explore_par`]).
+    /// exploration ([`crate::engine::EngineOptions::dedup`]).
     ///
     /// Two configurations with equal fingerprints have (with overwhelming
     /// probability) identical base-object states, programme states, remaining

@@ -997,11 +997,10 @@ where
 }
 
 /// Collects the history of every terminal configuration (quiescent or at the
-/// depth bound): the one engine path behind both
-/// [`crate::explorer::terminal_histories`] and
-/// [`crate::explorer::terminal_histories_par`], selected by
-/// [`EngineOptions::workers`].  The result is sorted by [`History`]'s
-/// structural order, so it is the same for every worker count.
+/// depth bound), sequentially or in parallel as selected by
+/// [`EngineOptions::workers`] (the sequential facade is
+/// [`crate::explorer::terminal_histories`]).  The result is sorted by
+/// [`History`]'s structural order, so it is the same for every worker count.
 pub fn terminal_histories(
     implementation: &dyn Implementation,
     workload: &Workload,
@@ -1034,10 +1033,10 @@ pub fn terminal_histories(
 }
 
 /// Checks `predicate` against the history of every reachable configuration
-/// and returns a violating history if one exists: the one engine path behind
-/// [`crate::explorer::find_history_violation`] and its `_par` twin.  With one
-/// worker the *first* violation in DFS order is returned; with several, *a*
-/// violation (there is no meaningful "first" under concurrency).
+/// and returns a violating history if one exists (the sequential facade is
+/// [`crate::explorer::find_history_violation`]).  With one worker the
+/// *first* violation in DFS order is returned; with several, *a* violation
+/// (there is no meaningful "first" under concurrency).
 pub fn find_history_violation<F>(
     implementation: &dyn Implementation,
     workload: &Workload,
@@ -1462,5 +1461,70 @@ mod tests {
         assert_eq!(seq, par);
         assert!(!seq.is_empty());
         assert!(seq.is_sorted());
+    }
+
+    fn parallel(workers: usize, dedup: bool) -> EngineOptions {
+        EngineOptions {
+            workers: Some(workers),
+            subtrees_per_worker: 4,
+            dedup,
+            ..EngineOptions::default()
+        }
+    }
+
+    #[test]
+    fn parallel_dedup_counts_are_worker_count_independent() {
+        let imp = fi_local(3);
+        let w = Workload::uniform(3, FetchIncrement::fetch_inc(), 2);
+        let reference = explore_shared(&imp, &w, &parallel(1, true), |_, _| Visit::Continue);
+        let plain = explore_shared(&imp, &w, &parallel(1, false), |_, _| Visit::Continue);
+        // Deduplication merges states reached by several interleavings…
+        assert!(reference.visited <= plain.visited);
+        assert!(reference.visited > 0);
+        // …and the deduplicated counts are the number of unique
+        // (state, history, depth) triples — independent of the worker count.
+        for workers in [2, 4, 8] {
+            let stats = explore_shared(&imp, &w, &parallel(workers, true), |_, _| Visit::Continue);
+            assert_eq!(
+                (stats.visited, stats.terminals),
+                (reference.visited, reference.terminals),
+                "dedup counts diverged at {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_find_violation_finds_a_counterexample() {
+        let imp = LocalSpecImplementation::new(Arc::new(evlin_spec::TestAndSet::new()), 2);
+        let w = Workload::uniform(2, evlin_spec::TestAndSet::test_and_set(), 1);
+        // "No two operations both return 0" — violated by the local-copy
+        // implementation of test&set once both processes have completed.
+        let violation = find_history_violation(&imp, &w, &parallel(4, false), |h| {
+            h.complete_operations()
+                .iter()
+                .filter(|o| o.response == Some(Value::from(0i64)))
+                .count()
+                < 2
+        });
+        assert!(violation.is_some());
+        // And no violation is reported for a property that always holds.
+        let none = find_history_violation(&imp, &w, &parallel(4, false), |h| h.len() < usize::MAX);
+        assert!(none.is_none());
+    }
+
+    #[test]
+    fn parallel_max_configs_truncates() {
+        let imp = fi_local(3);
+        let w = Workload::uniform(3, FetchIncrement::fetch_inc(), 3);
+        let options = EngineOptions {
+            limits: ExploreOptions {
+                max_depth: 64,
+                max_configs: 10,
+            },
+            ..parallel(4, false)
+        };
+        let stats = explore_shared(&imp, &w, &options, |_, _| Visit::Continue);
+        assert!(stats.truncated);
+        assert!(stats.visited <= 10);
     }
 }

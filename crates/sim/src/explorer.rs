@@ -9,16 +9,15 @@
 //! "some reachable configuration is stable" (Proposition 18) can be checked
 //! directly.
 //!
-//! Everything here delegates to the unified exploration engine: the
-//! sequential and parallel variants are the *same* traversal selected by a
-//! worker count, and [`crate::engine::EngineOptions::reduction`] can switch
-//! on sleep-set partial-order reduction or process-symmetry
-//! canonicalization.  The functions below keep today's unreduced semantics.
+//! Everything here delegates to the unified exploration engine with one
+//! worker and no reduction.  For parallel walks, deduplication, sleep-set
+//! partial-order reduction or process-symmetry canonicalization, call
+//! [`crate::engine`] directly with the matching
+//! [`crate::engine::EngineOptions`].
 
 use crate::config::Config;
 use crate::engine::{self, EngineOptions};
 use crate::program::Implementation;
-use crate::store::StoreConfig;
 use crate::workload::Workload;
 use evlin_history::ProcessId;
 
@@ -90,145 +89,6 @@ where
             workers: Some(1),
             ..EngineOptions::default()
         },
-        predicate,
-    )
-}
-
-/// Options controlling parallel exploration (see [`explore_par`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ParExploreOptions {
-    /// The depth and size bounds shared with the sequential explorer.
-    pub base: ExploreOptions,
-    /// Assumed worker count used to size the stealable frontier; `None`
-    /// assumes `rayon::current_num_threads()`.
-    ///
-    /// Note this is a *sizing hint only*: the actual workers always come
-    /// from the global rayon pool (bounded by the `RAYON_NUM_THREADS`
-    /// environment variable), so `Some(1)` does **not** serialize
-    /// [`explore_par`] — it merely carves out a smaller frontier.
-    pub threads: Option<usize>,
-    /// How many independent subtrees to carve out per assumed worker.  The
-    /// root region is expanded breadth-first until at least
-    /// `threads × subtrees_per_thread` frontier nodes exist; workers then
-    /// steal whole subtrees from that frontier, so a larger factor smooths
-    /// out imbalanced subtree sizes at the cost of a longer sequential
-    /// prefix.
-    pub subtrees_per_thread: usize,
-    /// Deduplicate configurations: a configuration reached at the same depth
-    /// with identical state *and identical recorded history*
-    /// ([`Config::fingerprint`]) is visited only once, across *all* workers
-    /// (the dedup set is shared and merged).  Because the recorded history
-    /// is part of the key, only interleavings that differ in unrecorded
-    /// internal base-object steps merge — which keeps every
-    /// history-collecting visitor exact.  Off by default to match the
-    /// sequential explorer's pure-tree semantics.
-    pub dedup: bool,
-    /// Transient-fault budget installed on the root (see [`crate::fault`]):
-    /// at most this many corruption steps along any explored schedule.  0
-    /// (the default) disables fault enumeration entirely.
-    pub fault_budget: usize,
-    /// Which visited-store backend holds the dedup set (see
-    /// [`crate::store`]); ignored while `dedup` is off.  The default
-    /// in-memory backend matches the pre-seam explorer exactly; the spill
-    /// backend bounds resident memory for visited sets larger than RAM.
-    pub store: StoreConfig,
-}
-
-impl Default for ParExploreOptions {
-    fn default() -> Self {
-        ParExploreOptions {
-            base: ExploreOptions::default(),
-            threads: None,
-            subtrees_per_thread: 8,
-            dedup: false,
-            fault_budget: 0,
-            store: StoreConfig::Mem,
-        }
-    }
-}
-
-impl ParExploreOptions {
-    /// The equivalent engine options (no reduction).
-    fn engine_options(&self) -> EngineOptions {
-        EngineOptions {
-            limits: self.base,
-            workers: self.threads,
-            subtrees_per_worker: self.subtrees_per_thread,
-            dedup: self.dedup,
-            reduction: engine::Reduction::None,
-            fault_budget: self.fault_budget,
-            store: self.store,
-        }
-    }
-}
-
-/// Exhaustively explores the executions of `implementation` on `workload`
-/// using multiple worker threads.
-///
-/// Semantics match [`explore`]: the `visitor` sees every reachable
-/// configuration with its depth, may prune or stop, and the returned
-/// statistics count visited and terminal configurations.  The interleaving
-/// tree is split into independent subtrees — the root region is expanded
-/// breadth-first, then workers *steal* whole subtrees from the shared
-/// frontier — so on a quiet machine with `N` cores the wall-clock time
-/// approaches `1/N` of the sequential explorer's.
-///
-/// Determinism: with the default options (no dedup) the visited and terminal
-/// counts equal the sequential explorer's exactly, for any thread count,
-/// because the interleaving tree's node count is independent of traversal
-/// order.  With `dedup` enabled the counts equal the number of unique
-/// `(state, history, depth)` triples, which is likewise traversal-order
-/// independent.
-/// Only `Visit::Stop` and `max_configs` truncation are inherently
-/// order-sensitive (the sequential explorer's "first" is meaningless under
-/// concurrency); in those cases the exploration still stops promptly but the
-/// exact counts may vary from run to run, just as they would between two
-/// different sequential visit orders.
-///
-/// The visitor is shared across workers, hence `Fn + Sync` (not `FnMut`);
-/// accumulate into a `Mutex` or atomics as [`terminal_histories_par`] does.
-pub fn explore_par<F>(
-    implementation: &dyn Implementation,
-    workload: &Workload,
-    options: ParExploreOptions,
-    visitor: F,
-) -> ExploreStats
-where
-    F: Fn(&Config, usize) -> Visit + Sync,
-{
-    engine::explore_shared(implementation, workload, &options.engine_options(), visitor)
-}
-
-/// Parallel counterpart of [`terminal_histories`]: collects the history of
-/// every terminal configuration using the engine's parallel path.  The
-/// histories are returned in a deterministic order (sorted by
-/// [`evlin_history::History`]'s structural order), since parallel workers
-/// reach terminals in a nondeterministic sequence.
-pub fn terminal_histories_par(
-    implementation: &dyn Implementation,
-    workload: &Workload,
-    options: ParExploreOptions,
-) -> Vec<evlin_history::History> {
-    engine::terminal_histories(implementation, workload, &options.engine_options())
-}
-
-/// Parallel counterpart of [`find_history_violation`]: checks `predicate`
-/// against the history of every reachable configuration on all cores and
-/// returns *a* violating history if any exists (under concurrency there is
-/// no meaningful "first").
-pub fn find_history_violation_par<F>(
-    implementation: &dyn Implementation,
-    workload: &Workload,
-    options: ParExploreOptions,
-    predicate: F,
-) -> Option<evlin_history::History>
-where
-    F: Fn(&evlin_history::History) -> bool + Sync,
-{
-    engine::find_history_violation(
-        implementation,
-        workload,
-        &options.engine_options(),
         predicate,
     )
 }
@@ -324,117 +184,6 @@ mod tests {
         // Stop at the root.
         let stats = explore(&imp, &w, ExploreOptions::default(), |_, _| Visit::Stop);
         assert_eq!(stats.visited, 1);
-    }
-
-    /// Forces the parallel code path regardless of the machine's core count
-    /// (the explorer itself accepts an explicit thread count, but the rayon
-    /// work queue is only exercised with >1 workers).
-    fn par_options(threads: usize, dedup: bool) -> ParExploreOptions {
-        ParExploreOptions {
-            base: ExploreOptions::default(),
-            threads: Some(threads),
-            subtrees_per_thread: 4,
-            dedup,
-            fault_budget: 0,
-            store: StoreConfig::Mem,
-        }
-    }
-
-    #[test]
-    fn parallel_counts_match_sequential_for_any_thread_count() {
-        let imp = LocalSpecImplementation::new(Arc::new(FetchIncrement::new()), 3);
-        let w = Workload::uniform(3, FetchIncrement::fetch_inc(), 2);
-        let sequential = explore(&imp, &w, ExploreOptions::default(), |_, _| Visit::Continue);
-        assert!(!sequential.truncated);
-        for threads in [1, 2, 4, 8] {
-            let parallel = explore_par(&imp, &w, par_options(threads, false), |_, _| {
-                Visit::Continue
-            });
-            assert_eq!(
-                (parallel.visited, parallel.terminals, parallel.truncated),
-                (sequential.visited, sequential.terminals, false),
-                "thread count {threads} diverged from the sequential explorer"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_dedup_counts_are_thread_count_independent() {
-        let imp = LocalSpecImplementation::new(Arc::new(FetchIncrement::new()), 3);
-        let w = Workload::uniform(3, FetchIncrement::fetch_inc(), 2);
-        let reference = explore_par(&imp, &w, par_options(1, true), |_, _| Visit::Continue);
-        let plain = explore_par(&imp, &w, par_options(1, false), |_, _| Visit::Continue);
-        // Deduplication merges states reached by several interleavings…
-        assert!(reference.visited <= plain.visited);
-        assert!(reference.visited > 0);
-        // …and the deduplicated counts are the number of unique
-        // (state, history, depth) triples — independent of the worker count.
-        for threads in [2, 4, 8] {
-            let parallel =
-                explore_par(&imp, &w, par_options(threads, true), |_, _| Visit::Continue);
-            assert_eq!(
-                (parallel.visited, parallel.terminals),
-                (reference.visited, reference.terminals),
-                "dedup counts diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_terminal_histories_match_sequential() {
-        let imp = LocalSpecImplementation::new(Arc::new(TestAndSet::new()), 2);
-        let w = Workload::uniform(2, TestAndSet::test_and_set(), 1);
-        let sequential = terminal_histories(&imp, &w, ExploreOptions::default());
-        assert!(
-            sequential.is_sorted(),
-            "terminal histories must come out in History's structural order"
-        );
-        for threads in [1, 2, 4] {
-            let parallel = terminal_histories_par(&imp, &w, par_options(threads, false));
-            assert_eq!(sequential, parallel, "order diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn parallel_find_violation_finds_a_counterexample() {
-        let imp = LocalSpecImplementation::new(Arc::new(TestAndSet::new()), 2);
-        let w = Workload::uniform(2, TestAndSet::test_and_set(), 1);
-        let violation = find_history_violation_par(&imp, &w, par_options(4, false), |h| {
-            h.complete_operations()
-                .iter()
-                .filter(|o| o.response == Some(evlin_spec::Value::from(0i64)))
-                .count()
-                < 2
-        });
-        assert!(violation.is_some());
-        // And no violation is reported for a property that always holds.
-        let none =
-            find_history_violation_par(&imp, &w, par_options(4, false), |h| h.len() < usize::MAX);
-        assert!(none.is_none());
-    }
-
-    #[test]
-    fn parallel_max_configs_truncates() {
-        let imp = LocalSpecImplementation::new(Arc::new(FetchIncrement::new()), 3);
-        let w = Workload::uniform(3, FetchIncrement::fetch_inc(), 3);
-        let stats = explore_par(
-            &imp,
-            &w,
-            ParExploreOptions {
-                base: ExploreOptions {
-                    max_depth: 64,
-                    max_configs: 10,
-                },
-                threads: Some(4),
-                subtrees_per_thread: 4,
-                dedup: false,
-                fault_budget: 0,
-                store: StoreConfig::Mem,
-            },
-            |_, _| Visit::Continue,
-        );
-        assert!(stats.truncated);
-        assert!(stats.visited <= 10);
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //!   partial-order reduction driven by a step-independence oracle on
 //!   configurations, and process-symmetry canonicalization for symmetric
 //!   programs;
-//! * [`explorer`] — the stable facade over the engine: bounded exhaustive
-//!   exploration of *all* interleavings, sequentially
-//!   ([`explorer::explore`]) or on every core with work-stealing over
-//!   independent subtrees ([`explorer::explore_par`]);
+//! * [`explorer`] — the sequential facade over the engine: bounded
+//!   exhaustive exploration of *all* interleavings ([`explorer::explore`]);
+//!   the engine's own entry points ([`engine::explore_shared`],
+//!   [`engine::terminal_histories`]) run the same walk on every core with
+//!   work-stealing over independent subtrees;
 //! * [`valency`] — bivalence/critical-configuration analysis for two-process
 //!   consensus implementations (the engine behind the Proposition 15 and
 //!   Corollary 19 experiments);
@@ -106,7 +107,7 @@ pub mod prelude {
     pub use crate::config::{Config, StepOutcome, StepShape};
     pub use crate::engine::{EngineOptions, Reduction, ReductionStrategy};
     pub use crate::eventually::{EventuallyLinearizable, StabilizationPolicy};
-    pub use crate::explorer::{explore, explore_par, ExploreOptions, ParExploreOptions};
+    pub use crate::explorer::{explore, ExploreOptions};
     pub use crate::fault::{FaultStep, FaultTarget};
     pub use crate::program::{Implementation, ProcessLogic, TaskStep};
     pub use crate::runner::{run, RunOutcome};

@@ -48,7 +48,7 @@ pub fn run_from(
 
 /// Like [`run`], additionally invoking `observer` on every high-level event
 /// as soon as the simulated step appends it — the simulator-side analogue of
-/// the runtime's streaming recorder.  The online monitor hooks in here
+/// the runtime's recorder shards.  The online monitor hooks in here
 /// ([`run_monitored`]); tracing and statistics collectors can too.
 pub fn run_observed(
     implementation: &dyn Implementation,
